@@ -2,7 +2,9 @@
 
 Arithmetic moves quantile bounds exactly as real interval arithmetic does;
 cdf components are recovered afterwards by sliding each bound point along
-its own cdf line onto the new quantile range.
+its own cdf line onto the new quantile range.  The bound formulas work on
+float endpoints so that the propagators can call them without building
+intervals.
 """
 
 from __future__ import annotations
@@ -12,12 +14,10 @@ from dataclasses import dataclass
 
 from .pbox import (
     DivisorStraddlesZero,
-    Inconsistent,
     PboxInterval,
-    anchor_lower,
-    anchor_upper,
+    anchor,
+    intersect_quantiles,
     repair_dominance,
-    tolerance,
 )
 
 
@@ -42,31 +42,49 @@ class QuantileInterval:
         return self.hi - self.lo
 
 
-def _checked(lo: float, hi: float) -> QuantileInterval:
+def checked(lo: float, hi: float) -> QuantileInterval:
+    """The range [lo, hi]; an overflowed bound is an error."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"interval arithmetic overflowed to [{lo!r}, {hi!r}]")
     return QuantileInterval(lo, hi)
 
 
+def add_bounds(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[float, float]:
+    return a_lo + b_lo, a_hi + b_hi
+
+
+def sub_bounds(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[float, float]:
+    return a_lo - b_hi, a_hi - b_lo
+
+
+def mul_bounds(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[float, float]:
+    p1 = a_lo * b_lo
+    p2 = a_lo * b_hi
+    p3 = a_hi * b_lo
+    p4 = a_hi * b_hi
+    return min(p1, p2, p3, p4), max(p1, p2, p3, p4)
+
+
+def div_bounds(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[float, float]:
+    if b_lo <= 0.0 <= b_hi:
+        raise DivisorStraddlesZero(f"divisor range [{b_lo!r}, {b_hi!r}] contains zero")
+    return mul_bounds(a_lo, a_hi, 1.0 / b_hi, 1.0 / b_lo)
+
+
 def q_add(a: QuantileInterval, b: QuantileInterval) -> QuantileInterval:
-    return _checked(a.lo + b.lo, a.hi + b.hi)
+    return checked(*add_bounds(a.lo, a.hi, b.lo, b.hi))
 
 
 def q_sub(a: QuantileInterval, b: QuantileInterval) -> QuantileInterval:
-    return _checked(a.lo - b.hi, a.hi - b.lo)
+    return checked(*sub_bounds(a.lo, a.hi, b.lo, b.hi))
 
 
 def q_mul(a: QuantileInterval, b: QuantileInterval) -> QuantileInterval:
-    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return _checked(min(products), max(products))
+    return checked(*mul_bounds(a.lo, a.hi, b.lo, b.hi))
 
 
 def q_div(a: QuantileInterval, b: QuantileInterval) -> QuantileInterval:
-    if b.contains_zero():
-        raise DivisorStraddlesZero(
-            f"divisor range [{b.lo!r}, {b.hi!r}] contains zero"
-        )
-    return q_mul(a, QuantileInterval(1.0 / b.hi, 1.0 / b.lo))
+    return checked(*div_bounds(a.lo, a.hi, b.lo, b.hi))
 
 
 def slide(interval: PboxInterval, target: QuantileInterval) -> PboxInterval:
@@ -76,17 +94,9 @@ def slide(interval: PboxInterval, target: QuantileInterval) -> PboxInterval:
     Sub-tolerance inversions of the intersection are rounding noise and
     collapse to a point instead of failing.
     """
-    lo_q = max(interval.lo.q, target.lo)
-    hi_q = min(interval.hi.q, target.hi)
-    if lo_q > hi_q:
-        if lo_q - hi_q > tolerance():
-            raise Inconsistent(
-                f"quantile ranges [{interval.lo.q!r}, {interval.hi.q!r}] and "
-                f"[{target.lo!r}, {target.hi!r}] are disjoint"
-            )
-        lo_q = hi_q = 0.5 * (lo_q + hi_q)
+    lo_q, hi_q = intersect_quantiles(interval.lo.q, interval.hi.q, target.lo, target.hi)
     if lo_q == interval.lo.q and hi_q == interval.hi.q:
         return interval
     return repair_dominance(
-        PboxInterval(anchor_upper(interval.lo, lo_q), anchor_lower(interval.hi, hi_q))
+        PboxInterval(anchor(interval.lo, lo_q), anchor(interval.hi, hi_q))
     )

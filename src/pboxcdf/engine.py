@@ -8,7 +8,6 @@ at a stable fixpoint.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -16,8 +15,7 @@ from .pbox import (
     DivisorStraddlesZero,
     Inconsistent,
     PboxInterval,
-    anchor_lower,
-    anchor_upper,
+    anchor,
     convex_interval,
     meet,
     point_mass,
@@ -26,12 +24,10 @@ from .pbox import (
     tighter_upper,
     tolerance,
 )
-from .arith import QuantileInterval, slide
+from .arith import add_bounds, checked, div_bounds, mul_bounds, slide, sub_bounds
 
 CONSISTENT = "consistent"
 FAILED = "failed"
-
-_KIND_ARITY = {"eq": 2, "leq": 2, "add": 3, "sub": 3, "mul": 3, "div": 3}
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,9 +42,9 @@ class Constraint:
     args: tuple[int, ...]
 
     def __post_init__(self):
-        arity = _KIND_ARITY.get(self.kind)
-        if arity is None:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
+        arity = _KINDS[self.kind][0]
         if len(self.args) != arity:
             raise ValueError(
                 f"constraint {self.kind!r} takes {arity} variables, got {len(self.args)}"
@@ -178,7 +174,12 @@ class DomainStore:
         return self.status
 
     def propagate(self) -> str:
-        """Run queued propagators to fixpoint; returns the resulting status."""
+        """Run queued propagators to fixpoint; returns the resulting status.
+
+        A :class:`DivisorStraddlesZero` or overflow ``ValueError`` puts the
+        interrupted constraint back at the head of the queue and is re-raised,
+        so the store never reports a fixpoint it has not reached.
+        """
         if self.status == FAILED:
             return FAILED
         queue = self._queue
@@ -188,39 +189,23 @@ class DomainStore:
             self.stats["wakes"] += 1
             c = self.constraints[idx]
             try:
-                self._run(c)
+                _KINDS[c.kind][1](self, *c.args)
             except Inconsistent:
                 self.fail()
                 return FAILED
+            except (DivisorStraddlesZero, ValueError):
+                self._queued[idx] = True
+                queue.appendleft(idx)
+                raise
         return CONSISTENT
 
-    def _run(self, c: Constraint) -> None:
-        kind = c.kind
-        if kind == "eq":
-            self._prop_eq(*c.args)
-        elif kind == "leq":
-            self._prop_leq(*c.args)
-        elif kind == "add":
-            self._prop_add(*c.args)
-        elif kind == "sub":
-            self._prop_sub(*c.args)
-        elif kind == "mul":
-            self._prop_mul(*c.args)
-        else:
-            self._prop_div(*c.args)
-
-    def _qrange(self, vid: int) -> QuantileInterval:
-        d = self.domains[vid]
-        return QuantileInterval(d.lo.q, d.hi.q)
-
-    def _slide_to(self, vid: int, lo: float, hi: float) -> None:
+    def _slide_to(self, vid: int, bounds: tuple[float, float]) -> None:
         # Fast exit for the common fixpoint case where nothing contracts.
+        lo, hi = bounds
         d = self.domains[vid]
         if lo <= d.lo.q and hi >= d.hi.q:
             return
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"interval arithmetic overflowed to [{lo!r}, {hi!r}]")
-        self._update(vid, slide(d, QuantileInterval(lo, hi)))
+        self._update(vid, slide(d, checked(lo, hi)))
 
     def _prop_eq(self, x: int, y: int) -> None:
         merged = meet(self.domains[x], self.domains[y])
@@ -229,7 +214,9 @@ class DomainStore:
 
     def _prop_leq(self, x: int, y: int) -> None:
         # x <= y: quantile bounds inherit across; pointwise F_x >= F_y lets
-        # x borrow y's lower cdf line and y borrow x's upper one.
+        # x borrow y's lower cdf line and y borrow x's upper one.  Unlike
+        # meet, a sub-tolerance inversion collapses onto the bound that is
+        # kept, not onto the midpoint.
         dx = self.domains[x]
         dy = self.domains[y]
 
@@ -240,9 +227,7 @@ class DomainStore:
             x_hi_q = dx.lo.q
         mid_x = 0.5 * (dx.lo.q + x_hi_q)
         low_x = tighter_lower(dx.hi, dy.hi, mid_x)
-        self._update(
-            x, repair_dominance(PboxInterval(dx.lo, anchor_lower(low_x, x_hi_q)))
-        )
+        self._update(x, repair_dominance(PboxInterval(dx.lo, anchor(low_x, x_hi_q))))
 
         dx = self.domains[x]
         y_lo_q = max(dy.lo.q, dx.lo.q)
@@ -252,75 +237,73 @@ class DomainStore:
             y_lo_q = dy.hi.q
         mid_y = 0.5 * (y_lo_q + dy.hi.q)
         up_y = tighter_upper(dy.lo, dx.lo, mid_y)
-        self._update(
-            y, repair_dominance(PboxInterval(anchor_upper(up_y, y_lo_q), dy.hi))
-        )
+        self._update(y, repair_dominance(PboxInterval(anchor(up_y, y_lo_q), dy.hi)))
+
+    # The arithmetic propagators project x op y = z onto each variable in
+    # turn, always reading the domains left by the previous projection.
 
     def _prop_add(self, x: int, y: int, z: int) -> None:
-        dx, dy = self.domains[x], self.domains[y]
-        self._slide_to(z, dx.lo.q + dy.lo.q, dx.hi.q + dy.hi.q)
-        dz, dy = self.domains[z], self.domains[y]
-        self._slide_to(x, dz.lo.q - dy.hi.q, dz.hi.q - dy.lo.q)
-        dz, dx = self.domains[z], self.domains[x]
-        self._slide_to(y, dz.lo.q - dx.hi.q, dz.hi.q - dx.lo.q)
+        d = self.domains
+        dx, dy = d[x], d[y]
+        self._slide_to(z, add_bounds(dx.lo.q, dx.hi.q, dy.lo.q, dy.hi.q))
+        dz, dy = d[z], d[y]
+        self._slide_to(x, sub_bounds(dz.lo.q, dz.hi.q, dy.lo.q, dy.hi.q))
+        dz, dx = d[z], d[x]
+        self._slide_to(y, sub_bounds(dz.lo.q, dz.hi.q, dx.lo.q, dx.hi.q))
 
     def _prop_sub(self, x: int, y: int, z: int) -> None:
-        dx, dy = self.domains[x], self.domains[y]
-        self._slide_to(z, dx.lo.q - dy.hi.q, dx.hi.q - dy.lo.q)
-        dz, dy = self.domains[z], self.domains[y]
-        self._slide_to(x, dz.lo.q + dy.lo.q, dz.hi.q + dy.hi.q)
-        dz, dx = self.domains[z], self.domains[x]
-        self._slide_to(y, dx.lo.q - dz.hi.q, dx.hi.q - dz.lo.q)
-
-    def _mul_range(self, a: PboxInterval, b: PboxInterval) -> tuple[float, float]:
-        products = (
-            a.lo.q * b.lo.q,
-            a.lo.q * b.hi.q,
-            a.hi.q * b.lo.q,
-            a.hi.q * b.hi.q,
-        )
-        return min(products), max(products)
-
-    def _div_range(self, a: PboxInterval, b: PboxInterval) -> tuple[float, float]:
-        inv = QuantileInterval(1.0 / b.hi.q, 1.0 / b.lo.q)
-        products = (
-            a.lo.q * inv.lo,
-            a.lo.q * inv.hi,
-            a.hi.q * inv.lo,
-            a.hi.q * inv.hi,
-        )
-        return min(products), max(products)
+        d = self.domains
+        dx, dy = d[x], d[y]
+        self._slide_to(z, sub_bounds(dx.lo.q, dx.hi.q, dy.lo.q, dy.hi.q))
+        dz, dy = d[z], d[y]
+        self._slide_to(x, add_bounds(dz.lo.q, dz.hi.q, dy.lo.q, dy.hi.q))
+        dz, dx = d[z], d[x]
+        self._slide_to(y, sub_bounds(dx.lo.q, dx.hi.q, dz.lo.q, dz.hi.q))
 
     def _prop_mul(self, x: int, y: int, z: int) -> None:
-        dx, dy = self.domains[x], self.domains[y]
-        self._slide_to(z, *self._mul_range(dx, dy))
-        dy = self.domains[y]
+        # Reverse projections over a zero-straddling factor are skipped,
+        # which is sound but weaker.
+        d = self.domains
+        dx, dy = d[x], d[y]
+        self._slide_to(z, mul_bounds(dx.lo.q, dx.hi.q, dy.lo.q, dy.hi.q))
+        dy = d[y]
         if dy.lo.q <= 0.0 <= dy.hi.q:
             self.stats["skipped_div_projections"] += 1
         else:
-            self._slide_to(x, *self._div_range(self.domains[z], dy))
-        dx = self.domains[x]
+            dz = d[z]
+            self._slide_to(x, div_bounds(dz.lo.q, dz.hi.q, dy.lo.q, dy.hi.q))
+        dx = d[x]
         if dx.lo.q <= 0.0 <= dx.hi.q:
             self.stats["skipped_div_projections"] += 1
         else:
-            self._slide_to(y, *self._div_range(self.domains[z], dx))
+            dz = d[z]
+            self._slide_to(y, div_bounds(dz.lo.q, dz.hi.q, dx.lo.q, dx.hi.q))
 
     def _prop_div(self, x: int, y: int, z: int) -> None:
         # The forward projection is a hard error on a zero-straddling divisor;
-        # reverse projections just skip, which is sound but weaker.
-        dx, dy = self.domains[x], self.domains[y]
-        if dy.lo.q <= 0.0 <= dy.hi.q:
-            raise DivisorStraddlesZero(
-                f"divisor range [{dy.lo.q!r}, {dy.hi.q!r}] contains zero"
-            )
-        self._slide_to(z, *self._div_range(dx, dy))
-        dz, dy = self.domains[z], self.domains[y]
-        self._slide_to(x, *self._mul_range(dz, dy))
-        dz = self.domains[z]
+        # the reverse one just skips, which is sound but weaker.
+        d = self.domains
+        dx, dy = d[x], d[y]
+        self._slide_to(z, div_bounds(dx.lo.q, dx.hi.q, dy.lo.q, dy.hi.q))
+        dz, dy = d[z], d[y]
+        self._slide_to(x, mul_bounds(dz.lo.q, dz.hi.q, dy.lo.q, dy.hi.q))
+        dz = d[z]
         if dz.lo.q <= 0.0 <= dz.hi.q:
             self.stats["skipped_div_projections"] += 1
         else:
-            self._slide_to(y, *self._div_range(self.domains[x], dz))
+            dx = d[x]
+            self._slide_to(y, div_bounds(dx.lo.q, dx.hi.q, dz.lo.q, dz.hi.q))
+
+
+# Constraint kind -> (arity, propagator).
+_KINDS = {
+    "eq": (2, DomainStore._prop_eq),
+    "leq": (2, DomainStore._prop_leq),
+    "add": (3, DomainStore._prop_add),
+    "sub": (3, DomainStore._prop_sub),
+    "mul": (3, DomainStore._prop_mul),
+    "div": (3, DomainStore._prop_div),
+}
 
 
 # -- model files -----------------------------------------------------------
@@ -357,8 +340,6 @@ def parse_model(obj: dict) -> tuple[DomainStore, list[str]]:
     for spec in obj.get("constraints", []):
         kind = spec.get("kind")
         args = spec.get("args", [])
-        if kind not in _KIND_ARITY:
-            raise ValueError(f"unknown constraint kind {kind!r}")
         resolved = []
         for arg in args:
             if arg not in ids:

@@ -32,6 +32,7 @@ from .pbox import (
     point_mass,
     project,
     repair_dominance,
+    set_tolerance,
     tolerance,
     upper_at,
 )
@@ -647,6 +648,9 @@ class SearchResult:
     frontier: tuple[FrontierEntry, ...]
     nodes: int
     clones: int
+    # Domain changes made by the search: the root store's propagation plus
+    # what each node adds while fixing its flag.
+    domain_writes: int
     wall_time_s: float
 
     def to_dict(self) -> dict:
@@ -656,8 +660,13 @@ class SearchResult:
             "frontier": [entry.to_dict() for entry in self.frontier],
             "nodes": self.nodes,
             "clones": self.clones,
+            "domain_writes": self.domain_writes,
             "wall_time_s": self.wall_time_s,
         }
+
+
+# Counters a search carries into its SearchResult.
+_SEARCH_COUNTS = ("nodes", "clones", "domain_writes")
 
 
 def _schedule_key(tc_lo: float, schedule: tuple[bool, ...]):
@@ -683,8 +692,7 @@ class _Searcher:
         for t in range(inst.horizon - 1, -1, -1):
             self.rest_worst[t] = self.rest_worst[t + 1] + self.worst[t]
         self._cost_to_go = self._min_future_overhead()
-        self.nodes = 0
-        self.clones = 0
+        self.counts = dict.fromkeys(_SEARCH_COUNTS, 0)
         self.visited: list[tuple[tuple[bool, ...], float, float]] = []
         self.incumbent_key = None
 
@@ -747,7 +755,9 @@ class _Searcher:
 
     def run(self, prefix: tuple[bool, ...] = ()) -> None:
         store, mv = build_model(self.inst, [None] * self.inst.horizon, mode=self.mode)
-        if store.propagate() == FAILED:
+        status = store.propagate()
+        self.counts["domain_writes"] += store.stats["prunes"]
+        if status == FAILED:
             return
         self._seed_incumbent()
         path: list[bool] = []
@@ -757,7 +767,10 @@ class _Searcher:
             path.append(flag)
         self._dfs(store, mv, path)
 
-    def _fix(self, store: DomainStore, mv: ModelVars, t: int, on: bool, path=None) -> str:
+    def _fix(
+        self, store: DomainStore, mv: ModelVars, t: int, on: bool, path: list[bool]
+    ) -> str:
+        writes_before = store.stats["prunes"]
         if on:
             store.tighten(
                 mv.order[t], convex_interval(self.inst.x_min, self.inst.x_max)
@@ -769,21 +782,22 @@ class _Searcher:
             # Orders must meet demand up to the next replenishment, so the
             # stock entering a no-order run covers the run's worst case.
             # This is what prices consolidated holding into the bound.
-            if path is not None:
-                required = self.worst[t]
-                j = t - 1
-                while j >= 0 and store.status == CONSISTENT:
-                    d = store.domains[mv.stock[j]]
-                    if required > d.lo.q:
-                        if required > d.hi.q + tolerance():
-                            store.fail()
-                            break
-                        store.tighten(mv.stock[j], (required, max(d.hi.q, required)))
-                    if j >= len(path) or path[j]:
+            required = self.worst[t]
+            j = t - 1
+            while j >= 0 and store.status == CONSISTENT:
+                d = store.domains[mv.stock[j]]
+                if required > d.lo.q:
+                    if required > d.hi.q + tolerance():
+                        store.fail()
                         break
-                    required += self.worst[j]
-                    j -= 1
-        return store.propagate()
+                    store.tighten(mv.stock[j], (required, max(d.hi.q, required)))
+                if j >= len(path) or path[j]:
+                    break
+                required += self.worst[j]
+                j -= 1
+        status = store.propagate()
+        self.counts["domain_writes"] += store.stats["prunes"] - writes_before
+        return status
 
     def _coverable(self, path: list[bool]) -> bool:
         # Optimistically order in every undecided cycle; if even that cannot
@@ -816,7 +830,7 @@ class _Searcher:
         return bound + floor if math.isfinite(floor) else math.inf
 
     def _dfs(self, store: DomainStore, mv: ModelVars, path: list[bool]) -> None:
-        self.nodes += 1
+        self.counts["nodes"] += 1
         if store.status == FAILED:
             return
         depth = len(path)
@@ -840,21 +854,20 @@ class _Searcher:
             return
         for flag in (False, True):
             child = store.clone()
-            self.clones += 1
+            self.counts["clones"] += 1
             if self._fix(child, mv, depth, flag, path) != FAILED:
                 path.append(flag)
                 self._dfs(child, mv, path)
                 path.pop()
 
 
-def _merge_visited(inst, mode, visited, nodes, clones, started) -> SearchResult:
+def _merge_visited(inst, mode, visited, counts, started) -> SearchResult:
     if not visited:
         return SearchResult(
             status="infeasible",
             best=None,
             frontier=(),
-            nodes=nodes,
-            clones=clones,
+            **counts,
             wall_time_s=time.perf_counter() - started,
         )
     best_schedule, best_lo, best_hi = min(
@@ -877,20 +890,20 @@ def _merge_visited(inst, mode, visited, nodes, clones, started) -> SearchResult:
         status="optimal",
         best=best,
         frontier=frontier,
-        nodes=nodes,
-        clones=clones,
+        **counts,
         wall_time_s=time.perf_counter() - started,
     )
 
 
 def _subtree_worker(payload: dict) -> dict:
+    # Workers started by spawn or forkserver do not inherit the tolerance.
+    set_tolerance(payload["tolerance"])
     inst = InventoryInstance.from_dict(payload["instance"])
     searcher = _Searcher(inst, payload["mode"])
     searcher.run(tuple(bool(flag) for flag in payload["prefix"]))
     return {
         "visited": [(list(s), lo, hi) for s, lo, hi in searcher.visited],
-        "nodes": searcher.nodes,
-        "clones": searcher.clones,
+        **searcher.counts,
     }
 
 
@@ -913,18 +926,14 @@ def search(
     if parallel and parallel > 1 and inst.horizon > 2:
         depth = min(3, inst.horizon - 1, max(1, parallel.bit_length()))
         prefixes = list(product((False, True), repeat=depth))
-        payload = inst.to_dict()
+        payload = {"instance": inst.to_dict(), "mode": mode, "tolerance": tolerance()}
         visited: list[tuple[tuple[bool, ...], float, float]] = []
-        nodes = clones = 0
         try:
             with ProcessPoolExecutor(max_workers=parallel) as pool:
                 results = list(
                     pool.map(
                         _subtree_worker,
-                        [
-                            {"instance": payload, "mode": mode, "prefix": list(p)}
-                            for p in prefixes
-                        ],
+                        [{**payload, "prefix": list(p)} for p in prefixes],
                     )
                 )
         except (OSError, PermissionError):
@@ -934,15 +943,12 @@ def search(
                 visited.extend(
                     (tuple(bool(v) for v in s), lo, hi) for s, lo, hi in res["visited"]
                 )
-                nodes += res["nodes"]
-                clones += res["clones"]
-            return _merge_visited(inst, mode, visited, nodes, clones, started)
+            counts = {key: sum(res[key] for res in results) for key in _SEARCH_COUNTS}
+            return _merge_visited(inst, mode, visited, counts, started)
         # fall through to the serial search when no worker pool is available
     searcher = _Searcher(inst, mode)
     searcher.run()
-    return _merge_visited(
-        inst, mode, searcher.visited, searcher.nodes, searcher.clones, started
-    )
+    return _merge_visited(inst, mode, searcher.visited, searcher.counts, started)
 
 
 # -- benchmark ----------------------------------------------------------------
@@ -1049,9 +1055,7 @@ def run_benchmark(
             "nodes": result.nodes,
             "alloc_counters": {
                 "store_clones": result.clones,
-                "domain_writes": (
-                    result.best.stats["prunes"] if result.best is not None else 0
-                ),
+                "domain_writes": result.domain_writes,
             },
             "frontier": [entry.to_dict() for entry in result.frontier],
             "timing": {"wall_time_s": elapsed},

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 
@@ -27,8 +26,7 @@ class DivisorStraddlesZero(PboxError):
     """Interval division with a divisor range containing zero."""
 
 
-_DEFAULT_TOLERANCE = 1e-9
-_tolerance = float(os.environ.get("PBOX_TOLERANCE", _DEFAULT_TOLERANCE))
+_tolerance = 1e-9
 
 
 def tolerance() -> float:
@@ -125,19 +123,16 @@ def lower_at(hi: CdfPoint, x: float) -> float:
     return max(hi.f - hi.s * (hi.q - x), 0.0)
 
 
-def anchor_upper(p: CdfPoint, q: float) -> CdfPoint:
-    """Move an upper-bound point along its own line to quantile q."""
+def anchor(p: CdfPoint, q: float) -> CdfPoint:
+    """Move a bound point along its own line to quantile q.
+
+    Upper and lower bound points move alike: ``p.f + p.s * (q - p.q)`` is
+    bit-identical to ``p.f - p.s * (p.q - q)``, since IEEE subtraction and
+    multiplication are sign-symmetric.
+    """
     if q == p.q:
         return p
     f = p.f + p.s * (q - p.q)
-    return CdfPoint(q, min(max(f, 0.0), 1.0), p.s)
-
-
-def anchor_lower(p: CdfPoint, q: float) -> CdfPoint:
-    """Move a lower-bound point along its own line to quantile q."""
-    if q == p.q:
-        return p
-    f = p.f - p.s * (p.q - q)
     return CdfPoint(q, min(max(f, 0.0), 1.0), p.s)
 
 
@@ -282,30 +277,18 @@ def envelope(cdf: StaircaseCdf) -> PboxInterval:
     return PboxInterval(CdfPoint(q1, f1, s_up), CdfPoint(qn, f_left, s_low))
 
 
-def _violation_candidates(interval: PboxInterval) -> list[float]:
-    # Clipped bounds are piecewise linear; dominance can only fail first at an
-    # endpoint, a clip breakpoint, or the raw line intersection.
-    lo, hi = interval.lo, interval.hi
-    xs = [lo.q, hi.q]
-    if lo.s > 0.0:
-        xs.append(lo.q + (1.0 - lo.f) / lo.s)
-    if hi.s > 0.0:
-        xs.append(hi.q - hi.f / hi.s)
-    den = lo.s - hi.s
-    if den != 0.0:
-        xs.append((hi.f - hi.s * hi.q - lo.f + lo.s * lo.q) / den)
-    return xs
-
-
 def check_dominance(interval: PboxInterval) -> bool:
     """True iff the clipped upper bound stays above the clipped lower bound
     across the whole quantile range."""
+    # On the range the upper line is >= 0 and the lower line is <= 1, so
+    # clipping cannot create a violation; the gap between the raw lines is
+    # linear, so it is smallest at one of the two quantile bounds.
     lo, hi = interval.lo, interval.hi
     tol = _tolerance
-    for x in _violation_candidates(interval):
-        if lo.q <= x <= hi.q and upper_at(lo, x) < lower_at(hi, x) - tol:
-            return False
-    return True
+    width = hi.q - lo.q
+    return not (
+        lo.f < hi.f - hi.s * width - tol or lo.f + lo.s * width < hi.f - tol
+    )
 
 
 def repair_dominance(interval: PboxInterval) -> PboxInterval:
@@ -333,12 +316,32 @@ def repair_dominance(interval: PboxInterval) -> PboxInterval:
     x_star = min(max(x_star, lo.q), hi.q)
     if den > 0.0:
         # Upper line is steeper: the conflict sits at low quantiles.
-        repaired = PboxInterval(anchor_upper(lo, x_star), hi)
+        repaired = PboxInterval(anchor(lo, x_star), hi)
     else:
-        repaired = PboxInterval(lo, anchor_lower(hi, x_star))
+        repaired = PboxInterval(lo, anchor(hi, x_star))
     if not check_dominance(repaired):
         raise Inconsistent("dominance conflict persists after pruning")
     return repaired
+
+
+def intersect_quantiles(
+    a_lo: float, a_hi: float, b_lo: float, b_hi: float
+) -> tuple[float, float]:
+    """Intersection of two quantile ranges.
+
+    Sub-tolerance inversions are rounding noise and collapse to their
+    midpoint instead of failing.
+    """
+    lo_q = max(a_lo, b_lo)
+    hi_q = min(a_hi, b_hi)
+    if lo_q > hi_q:
+        if lo_q - hi_q > _tolerance:
+            raise Inconsistent(
+                f"quantile ranges [{a_lo!r}, {a_hi!r}] and [{b_lo!r}, {b_hi!r}] "
+                "are disjoint"
+            )
+        lo_q = hi_q = 0.5 * (lo_q + hi_q)
+    return lo_q, hi_q
 
 
 def meet(a: PboxInterval, b: PboxInterval) -> PboxInterval:
@@ -347,16 +350,11 @@ def meet(a: PboxInterval, b: PboxInterval) -> PboxInterval:
     Quantile bounds intersect; each cdf bound keeps whichever input line is
     tighter at the midpoint of the new range, re-anchored at the new bound.
     """
-    lo_q = max(a.lo.q, b.lo.q)
-    hi_q = min(a.hi.q, b.hi.q)
-    if lo_q > hi_q:
-        if lo_q - hi_q > _tolerance:
-            raise Inconsistent(f"empty quantile intersection: [{lo_q!r}, {hi_q!r}]")
-        lo_q = hi_q = 0.5 * (lo_q + hi_q)
+    lo_q, hi_q = intersect_quantiles(a.lo.q, a.hi.q, b.lo.q, b.hi.q)
     mid = 0.5 * (lo_q + hi_q)
     up = tighter_upper(a.lo, b.lo, mid)
     low = tighter_lower(a.hi, b.hi, mid)
-    return repair_dominance(PboxInterval(anchor_upper(up, lo_q), anchor_lower(low, hi_q)))
+    return repair_dominance(PboxInterval(anchor(up, lo_q), anchor(low, hi_q)))
 
 
 def load_observations_csv(path) -> ObservationSet:

@@ -310,9 +310,10 @@ class TestEnvironmentTolerance:
         )
         assert proc.returncode == 0
 
-    def test_bad_tolerance_rejected(self, obs_csv):
+    @pytest.mark.parametrize("value", ["-1", "abc", "nan"])
+    def test_bad_tolerance_rejected(self, obs_csv, value):
         env = dict(os.environ)
-        env["PBOX_TOLERANCE"] = "-1"
+        env["PBOX_TOLERANCE"] = value
         proc = subprocess.run(
             [sys.executable, "-m", "pboxcdf.cli", "ingest", "--input", str(obs_csv)],
             env=env,
@@ -321,3 +322,16 @@ class TestEnvironmentTolerance:
         )
         assert proc.returncode == 2
         assert "PBOX_TOLERANCE" in proc.stderr
+
+    def test_library_import_ignores_env(self):
+        # The variable is a CLI setting; library callers use set_tolerance.
+        env = dict(os.environ)
+        env["PBOX_TOLERANCE"] = "abc"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import pboxcdf; print(pboxcdf.tolerance())"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert float(proc.stdout) == 1e-9

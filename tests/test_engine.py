@@ -181,6 +181,22 @@ class TestTernary:
         with pytest.raises(DivisorStraddlesZero):
             store.propagate()
 
+    def test_interrupted_propagation_stays_queued(self):
+        # sub narrows z to [-2, 1] before div meets it as a divisor; the
+        # store must not report a fixpoint after the error.
+        store, (x, y, z, w) = _store_with(
+            convex_interval(1.0, 2.0),
+            convex_interval(1.0, 3.0),
+            convex_interval(-5.0, 5.0),
+            convex_interval(0.0, 10.0),
+        )
+        store.post(Constraint("sub", (x, y, z)))
+        store.post(Constraint("div", (w, z, y)))
+        for _ in range(2):
+            with pytest.raises(DivisorStraddlesZero):
+                store.propagate()
+            assert store.status == CONSISTENT
+
     def test_div_projections(self):
         store, (x, y, z) = _store_with(
             convex_interval(4.0, 8.0), convex_interval(2.0, 4.0), convex_interval(0.0, 100.0)

@@ -384,6 +384,11 @@ class TestBenchmark:
         assert 0.0 < f_low <= f_up < 1.0
         assert cont["cdf_tighter_than_convex"]
 
+    def test_domain_writes_count_the_search(self):
+        row = run_benchmark([7], seed=42, model="pbox")["rows"][0]
+        assert row["nodes"] > 1
+        assert row["alloc_counters"]["domain_writes"] > row["nodes"]
+
     def test_convex_model_rows_have_no_containment(self):
         report = run_benchmark([5], seed=7, model="convex")
         assert "containment" not in report["rows"][0]

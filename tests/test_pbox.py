@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pboxcdf.pbox import (
@@ -11,6 +11,7 @@ from pboxcdf.pbox import (
     ObservationSet,
     PboxInterval,
     StaircaseCdf,
+    anchor,
     check_dominance,
     convex_interval,
     empirical_cdf,
@@ -21,6 +22,7 @@ from pboxcdf.pbox import (
     project,
     repair_dominance,
     slope_between,
+    tolerance,
     upper_at,
 )
 
@@ -240,6 +242,68 @@ class TestDominance:
             assert fixed.hi.q <= dom.hi.q + 1e-9
             assert check_dominance(fixed)
         assert repaired > 100
+
+
+def _dominance_by_scan(interval: PboxInterval) -> bool:
+    """Reference: evaluate the clipped bounds at every point where their
+    difference can change slope (the quantile bounds, the two clip
+    breakpoints and the raw line intersection)."""
+    lo, hi = interval.lo, interval.hi
+    xs = [lo.q, hi.q]
+    if lo.s > 0.0:
+        xs.append(lo.q + (1.0 - lo.f) / lo.s)
+    if hi.s > 0.0:
+        xs.append(hi.q - hi.f / hi.s)
+    den = lo.s - hi.s
+    if den != 0.0:
+        xs.append((hi.f - hi.s * hi.q - lo.f + lo.s * lo.q) / den)
+    return not any(
+        lo.q <= x <= hi.q and upper_at(lo, x) < lower_at(hi, x) - tolerance()
+        for x in xs
+    )
+
+
+_slopes = st.one_of(st.just(0.0), st.floats(0.0, 0.1), st.floats(0.0, 50.0))
+
+
+class TestDominanceAgainstScan:
+    @given(
+        lo_q=st.floats(-1e3, 1e3),
+        width=st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 200.0)),
+        lo_f=st.floats(0.0, 1.0),
+        hi_f=st.floats(0.0, 1.0),
+        lo_s=_slopes,
+        hi_s=_slopes,
+    )
+    @example(lo_q=0.0, width=0.0, lo_f=0.2, hi_f=0.7, lo_s=0.0, hi_s=0.0)
+    @example(lo_q=0.0, width=0.0, lo_f=0.7, hi_f=0.2, lo_s=1.0, hi_s=3.0)
+    @example(lo_q=0.0, width=10.0, lo_f=0.0, hi_f=0.9, lo_s=0.01, hi_s=0.01)
+    # Lines crossing inside the range, with the violation on either side.
+    @example(lo_q=0.0, width=10.0, lo_f=0.5, hi_f=0.9, lo_s=0.1, hi_s=0.02)
+    @example(lo_q=0.0, width=10.0, lo_f=0.1, hi_f=0.5, lo_s=0.02, hi_s=0.1)
+    # Lines crossing outside the range.
+    @example(lo_q=10.0, width=70.0, lo_f=0.14, hi_f=0.49, lo_s=0.016, hi_s=0.06)
+    @settings(max_examples=1000, deadline=None)
+    def test_two_endpoints_agree_with_scan(self, lo_q, width, lo_f, hi_f, lo_s, hi_s):
+        dom = PboxInterval(CdfPoint(lo_q, lo_f, lo_s), CdfPoint(lo_q + width, hi_f, hi_s))
+        assert check_dominance(dom) == _dominance_by_scan(dom)
+
+    @given(
+        q=st.floats(-1e6, 1e6),
+        f=st.floats(0.0, 1.0),
+        s=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+        target=st.floats(-1e6, 1e6),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_anchor_matches_both_line_formulas(self, q, f, s, target):
+        p = CdfPoint(q, f, s)
+        moved = anchor(p, target)
+        for raw in (f + s * (target - q), f - s * (q - target)):
+            expected = min(max(raw, 0.0), 1.0)
+            assert moved.q == target
+            assert moved.s == s
+            assert math.copysign(1.0, moved.f) == math.copysign(1.0, expected)
+            assert moved.f == expected
 
 
 class TestMeet:
