@@ -411,12 +411,13 @@ def build_model(
         b_t = store.new_var(b_bind, name=f"supply{cyc}")
         store.post(Constraint("add", (prev_stock, x_t, b_t)))
 
+        # Stock that rounds to a hair below zero still counts as empty.
         i_bind = combine_bindings("sub", b_bind, store.domains[d_t])
-        if i_bind.hi.q < 0.0:
+        if i_bind.hi.q < -tolerance():
             store.fail()
             return store, mv
         if i_bind.lo.q < 0.0:
-            i_bind = slide(i_bind, QuantileInterval(0.0, i_bind.hi.q))
+            i_bind = slide(i_bind, QuantileInterval(0.0, max(i_bind.hi.q, 0.0)))
         i_t = store.new_var(i_bind, name=f"stock{cyc}")
         store.post(Constraint("sub", (b_t, d_t, i_t)))
         mv.stock.append(i_t)
@@ -462,14 +463,15 @@ def build_model(
     store.post(Constraint("mul", (vvar, order_sum.var, purchase_sum.var)))
 
     # Orders must be able to meet demand up to the next replenishment, so the
-    # total ordered quantity is floored by worst-case total demand.
+    # total ordered quantity is floored by worst-case total demand.  Pinned
+    # covering sizes can sum to a rounding ulp below that floor.
     worst_total = sum(_quantile_high(d) for d in inst.demands) - inst.initial_stock
     tx_dom = store.domains[order_sum.var]
     if worst_total > tx_dom.lo.q:
-        if worst_total > tx_dom.hi.q:
+        if worst_total > tx_dom.hi.q + tolerance():
             store.fail()
             return store, mv
-        store.tighten(order_sum.var, (worst_total, tx_dom.hi.q))
+        store.tighten(order_sum.var, (min(worst_total, tx_dom.hi.q), tx_dom.hi.q))
 
     overhead = store.new_var(
         combine_bindings(

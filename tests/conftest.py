@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pboxcdf.inventory import InventoryInstance
 from pboxcdf.pbox import (
     ObservationSet,
     PboxInterval,
@@ -36,6 +37,21 @@ def random_domain(rng: random.Random) -> PboxInterval:
         lo = rng.uniform(-100.0, 100.0)
         return convex_interval(lo, lo + rng.uniform(0.0, 80.0))
     return point_mass(rng.uniform(-100.0, 100.0))
+
+
+def random_scalar_instance(rng: random.Random) -> InventoryInstance:
+    """Small instance with scalar costs and demands, horizon 1 to 6."""
+    n = rng.randint(1, 6)
+    return InventoryInstance(
+        horizon=n,
+        ordering_cost=rng.uniform(20.0, 300.0),
+        holding_cost=rng.uniform(0.1, 4.0),
+        unit_cost=rng.uniform(0.5, 8.0),
+        demands=tuple(rng.uniform(2.0, 40.0) for _ in range(n)),
+        initial_stock=rng.choice([0.0, rng.uniform(0.0, 20.0)]),
+        x_min=1.0,
+        x_max=rng.uniform(45.0, 120.0),
+    )
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import pytest
 
 from pboxcdf.arith import QuantileInterval, slide
 from pboxcdf.engine import CONSISTENT, FAILED, Constraint, DomainStore
-from pboxcdf.inventory import InventoryInstance, evaluate_schedule, run_benchmark, search
+from pboxcdf.inventory import evaluate_schedule, run_benchmark, search
 from pboxcdf.pbox import (
     CdfPoint,
     Inconsistent,
@@ -29,7 +29,12 @@ from pboxcdf.pbox import (
     upper_at,
 )
 
-from conftest import random_domain, random_envelope, random_observations
+from conftest import (
+    random_domain,
+    random_envelope,
+    random_observations,
+    random_scalar_instance,
+)
 
 
 def _verdict(criterion: str, detail: str) -> None:
@@ -182,25 +187,11 @@ def test_criterion_4_dominance_safety():
     _verdict("criterion 4 dominance safety", f"{checked} domains checked")
 
 
-def _random_scalar_instance(rng):
-    n = rng.randint(1, 6)
-    return InventoryInstance(
-        horizon=n,
-        ordering_cost=rng.uniform(20.0, 300.0),
-        holding_cost=rng.uniform(0.1, 4.0),
-        unit_cost=rng.uniform(0.5, 8.0),
-        demands=tuple(rng.uniform(2.0, 40.0) for _ in range(n)),
-        initial_stock=rng.choice([0.0, rng.uniform(0.0, 20.0)]),
-        x_min=1.0,
-        x_max=rng.uniform(45.0, 120.0),
-    )
-
-
 def test_criterion_5_search_matches_enumeration():
     rng = random.Random(1618)
     exact_matches = 0
     for _ in range(200):
-        inst = _random_scalar_instance(rng)
+        inst = random_scalar_instance(rng)
         best_key = None
         for flags in product((False, True), repeat=inst.horizon):
             report = evaluate_schedule(inst, flags)

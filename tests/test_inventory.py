@@ -27,7 +27,7 @@ from pboxcdf.pbox import (
     project,
 )
 
-from conftest import random_envelope
+from conftest import random_envelope, random_scalar_instance
 
 
 def scalar_instance(n, demands, a=10.0, h=1.0, v=2.0, i0=0.0, x_min=1.0, x_max=40.0):
@@ -131,6 +131,21 @@ class TestBuildModel:
         assert final.lo.q == pytest.approx(
             10.0 + ordered - sum(demands), abs=1e-6
         )
+
+    def test_every_covered_schedule_is_feasible(self):
+        # Pinned covering sizes can leave the final stock or the order total
+        # a rounding ulp outside the build's cut-offs; that must not reject.
+        rng = random.Random(1618)
+        instances = [random_scalar_instance(rng) for _ in range(60)]
+        instances.append(default_instance(7, 0))
+        covered = 0
+        for inst in instances:
+            for flags in product((False, True), repeat=inst.horizon):
+                if robust_order_sizes(inst, flags) is None:
+                    continue
+                covered += 1
+                assert evaluate_schedule(inst, flags) is not None, (inst, flags)
+        assert covered > 500
 
     def test_invalid_instances_rejected(self):
         with pytest.raises(ValueError):
