@@ -571,39 +571,41 @@ def robust_order_sizes(inst: InventoryInstance, schedule) -> list[float] | None:
     return alloc
 
 
-def evaluate_schedule(
-    inst: InventoryInstance,
-    schedule,
-    mode: str = "pbox",
-    label_orders: bool = True,
-) -> ScheduleReport | None:
-    """Propagate one fully decided schedule; None when it is infeasible.
-
-    A schedule is feasible when the relaxed network is consistent and the
-    order caps can cover worst-case demand in every cycle.  With
-    ``label_orders`` the order quantities are then pinned to the cheapest
-    covering sizes and the network re-solved, so the reported costs describe
-    resolved decisions over the full demand uncertainty rather than the
-    relaxation hull.
-    """
-    started = time.perf_counter()
-    schedule = tuple(bool(flag) for flag in schedule)
-    store, mv = build_model(inst, schedule, mode=mode)
-    if store.propagate() == FAILED:
-        return None
+def _resolve(inst: InventoryInstance, schedule, mode: str):
+    """Propagated network of a decided schedule with its orders pinned to the
+    cheapest covering sizes, as ``(store, vars)``; None when the caps cannot
+    cover worst-case demand or the network is inconsistent."""
     sizes = robust_order_sizes(inst, schedule)
     if sizes is None:
         return None
-    tc_hull = store.domains[mv.tc]
+    store, mv = build_model(inst, schedule, mode=mode, order_sizes=sizes)
+    if store.propagate() == FAILED:
+        return None
+    return store, mv
+
+
+def evaluate_schedule(
+    inst: InventoryInstance, schedule, mode: str = "pbox"
+) -> ScheduleReport | None:
+    """Propagate one fully decided schedule; None when it is infeasible.
+
+    A schedule is feasible when the order caps can cover worst-case demand in
+    every cycle and the network with the orders pinned to the cheapest
+    covering sizes is consistent.  The reported costs describe those resolved
+    decisions over the full demand uncertainty; ``tc_hull`` is the total cost
+    of the relaxed network, whose orders range over their caps.
+    """
+    started = time.perf_counter()
+    schedule = tuple(bool(flag) for flag in schedule)
+    hull, hull_mv = build_model(inst, schedule, mode=mode)
+    if hull.propagate() == FAILED:
+        return None
+    resolved = _resolve(inst, schedule, mode)
+    if resolved is None:
+        return None
+    store, mv = resolved
     stats = dict(store.stats)
-    stats["labeling"] = "hull"
-    if label_orders:
-        labelled, mv2 = build_model(inst, schedule, mode=mode, order_sizes=sizes)
-        if labelled.propagate() == FAILED:  # pragma: no cover - covered orders fit
-            return None
-        store, mv = labelled, mv2
-        stats = dict(store.stats)
-        stats["labeling"] = "robust"
+    stats["labeling"] = "robust"
     cycles = tuple(
         CycleDomains(
             order=store.domains[mv.order[t]],
@@ -616,7 +618,7 @@ def evaluate_schedule(
         schedule=schedule,
         replenishments=sum(schedule),
         tc=store.domains[mv.tc],
-        tc_hull=tc_hull,
+        tc_hull=hull.domains[hull_mv.tc],
         holding=store.domains[mv.holding],
         cycles=cycles,
         wall_time_s=time.perf_counter() - started,
@@ -697,6 +699,8 @@ class _Searcher:
         self.counts = dict.fromkeys(_SEARCH_COUNTS, 0)
         self.visited: list[tuple[tuple[bool, ...], float, float]] = []
         self.incumbent_key = None
+        # The greedy seed's visited entry, so its leaf is not scored twice.
+        self.seed = None
 
     def _min_future_overhead(self) -> list[float]:
         # dp[i]: cheapest ordering-plus-holding charge that can cover
@@ -743,17 +747,29 @@ class _Searcher:
                 return None
         return schedule
 
+    def _score(self, schedule: tuple[bool, ...]):
+        # A leaf costs one pinned build and propagation: once the caps cover
+        # worst-case demand, the covering sizes are a scenario of the relaxed
+        # network, so that network cannot fail where the pinned one holds.
+        if self.seed is not None and self.seed[0] == schedule:
+            entry = self.seed
+        else:
+            resolved = _resolve(self.inst, schedule, self.mode)
+            if resolved is None:
+                return None
+            store, mv = resolved
+            tc = store.domains[mv.tc]
+            entry = (schedule, tc.lo.q, tc.hi.q)
+        self.visited.append(entry)
+        key = _schedule_key(entry[1], schedule)
+        if self.incumbent_key is None or key < self.incumbent_key:
+            self.incumbent_key = key
+        return entry
+
     def _seed_incumbent(self) -> None:
         schedule = self._greedy_schedule()
-        if schedule is None:
-            return
-        resolved = evaluate_schedule(self.inst, schedule, mode=self.mode)
-        if resolved is None:
-            return
-        self.visited.append(
-            (resolved.schedule, resolved.tc.lo.q, resolved.tc.hi.q)
-        )
-        self.incumbent_key = _schedule_key(resolved.tc.lo.q, resolved.schedule)
+        if schedule is not None:
+            self.seed = self._score(tuple(schedule))
 
     def run(self, prefix: tuple[bool, ...] = ()) -> None:
         store, mv = build_model(self.inst, [None] * self.inst.horizon, mode=self.mode)
@@ -843,14 +859,7 @@ class _Searcher:
         ):
             return
         if depth == self.inst.horizon:
-            schedule = tuple(path)
-            resolved = evaluate_schedule(self.inst, schedule, mode=self.mode)
-            if resolved is None:
-                return
-            self.visited.append((schedule, resolved.tc.lo.q, resolved.tc.hi.q))
-            key = _schedule_key(resolved.tc.lo.q, schedule)
-            if self.incumbent_key is None or key < self.incumbent_key:
-                self.incumbent_key = key
+            self._score(tuple(path))
             return
         if not self._coverable(path):
             return

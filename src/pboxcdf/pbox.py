@@ -91,9 +91,6 @@ class PboxInterval:
     def width(self) -> float:
         return self.hi.q - self.lo.q
 
-    def is_degenerate(self) -> bool:
-        return self.hi.q == self.lo.q
-
     def to_dict(self) -> dict:
         return {"lo": self.lo.to_dict(), "hi": self.hi.to_dict()}
 

@@ -6,7 +6,14 @@ import sys
 import pytest
 
 from pboxcdf.cli import main
-from pboxcdf.pbox import PboxInterval, empirical_cdf, envelope, load_observations_csv
+from pboxcdf.pbox import (
+    PboxInterval,
+    empirical_cdf,
+    envelope,
+    load_observations_csv,
+    set_tolerance,
+    tolerance,
+)
 
 OBS_CSV = "quantile,count\n5.17,4\n5.3,5\n5.45,6\n5.55,6\n5.7,5\n5.9,5\n6.1,4\n6.2,3\n6.36,2\n"
 
@@ -289,26 +296,14 @@ class TestBench:
 
 
 class TestEnvironmentTolerance:
-    def test_tolerance_override_via_env(self, obs_csv, tmp_path):
-        env = dict(os.environ)
-        env["PBOX_TOLERANCE"] = "1e-6"
+    def test_tolerance_override_via_env(self, obs_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("PBOX_TOLERANCE", "1e-6")
         out = tmp_path / "domain.json"
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "pboxcdf.cli",
-                "ingest",
-                "--input",
-                str(obs_csv),
-                "--out",
-                str(out),
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
+        try:
+            assert main(["ingest", "--input", str(obs_csv), "--out", str(out)]) == 0
+            assert tolerance() == 1e-6
+        finally:
+            set_tolerance(1e-9)
 
     @pytest.mark.parametrize("value", ["-1", "abc", "nan"])
     def test_bad_tolerance_rejected(self, obs_csv, value):

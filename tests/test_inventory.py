@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from pboxcdf import inventory
 from pboxcdf.engine import CONSISTENT, FAILED
 from pboxcdf.inventory import (
     InventoryInstance,
@@ -306,6 +307,29 @@ class TestSearch:
         assert parallel.status == serial.status
         assert parallel.best.schedule == serial.best.schedule
         assert parallel.best.tc.lo.q == pytest.approx(serial.best.tc.lo.q, abs=1e-9)
+
+    def test_each_leaf_is_resolved_once(self, monkeypatch):
+        # Leaves cost one pinned network; only the winner gets a full report.
+        resolved, evaluated = [], []
+        real_resolve = inventory._resolve
+        real_evaluate = inventory.evaluate_schedule
+
+        def counting_resolve(inst, schedule, mode):
+            resolved.append(tuple(schedule))
+            return real_resolve(inst, schedule, mode)
+
+        def counting_evaluate(inst, schedule, mode="pbox"):
+            evaluated.append(tuple(schedule))
+            return real_evaluate(inst, schedule, mode)
+
+        monkeypatch.setattr(inventory, "_resolve", counting_resolve)
+        monkeypatch.setattr(inventory, "evaluate_schedule", counting_evaluate)
+        # Seed 1 reaches the greedy seed's leaf, which is not the winner.
+        result = search(default_instance(7, 1))
+        assert evaluated == [result.best.schedule]
+        # The report resolves the winner a second time; no other leaf repeats.
+        assert resolved.count(result.best.schedule) == 2
+        assert len(resolved) == len(set(resolved)) + 1
 
 
 class TestInstanceIO:
