@@ -747,7 +747,9 @@ class _Searcher:
                 return None
         return schedule
 
-    def _score(self, schedule: tuple[bool, ...]):
+    def _score(
+        self, schedule: tuple[bool, ...]
+    ) -> tuple[tuple[bool, ...], float, float] | None:
         # A leaf costs one pinned build and propagation: once the caps cover
         # worst-case demand, the covering sizes are a scenario of the relaxed
         # network, so that network cannot fail where the pinned one holds.
