@@ -144,7 +144,6 @@ def cmd_bench(args) -> int:
         model=args.model,
         x_min=args.x_min,
         x_max=args.x_max if args.x_max is not None else DEFAULT_X_MAX,
-        parallel=args.parallel,
         instance=instance,
     )
     _write_json(report, args.out)
@@ -191,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--model", choices=["pbox", "convex"], default="pbox")
     bench.add_argument("--x-min", type=float, default=1.0, dest="x_min")
     bench.add_argument("--x-max", type=float, default=None, dest="x_max")
-    bench.add_argument(
-        "--parallel", type=int, default=0, help="worker processes for the search"
-    )
     bench.add_argument(
         "--cycles-csv", default=None, help="also emit per-cycle domains as CSV"
     )

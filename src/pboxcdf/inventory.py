@@ -14,9 +14,7 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 
 from .pbox import (
@@ -32,7 +30,6 @@ from .pbox import (
     point_mass,
     project,
     repair_dominance,
-    set_tolerance,
     tolerance,
     upper_at,
 )
@@ -584,6 +581,41 @@ def _resolve(inst: InventoryInstance, schedule, mode: str):
     return store, mv
 
 
+def _resolved_fields(store: DomainStore, mv: ModelVars) -> dict:
+    """The report fields a resolved network fixes, without the store."""
+    stats = dict(store.stats)
+    stats["labeling"] = "robust"
+    return {
+        "tc": store.domains[mv.tc],
+        "holding": store.domains[mv.holding],
+        "cycles": tuple(
+            CycleDomains(
+                order=store.domains[mv.order[t]],
+                stock=store.domains[mv.stock[t]],
+                demand=store.domains[mv.demand[t]],
+            )
+            for t in range(len(mv.order))
+        ),
+        "stats": stats,
+    }
+
+
+def _report(
+    inst: InventoryInstance, schedule, mode: str, resolved: dict, started: float
+) -> ScheduleReport | None:
+    # Completes a resolved schedule's report with the relaxed network's cost.
+    hull, hull_mv = build_model(inst, schedule, mode=mode)
+    if hull.propagate() == FAILED:
+        return None
+    return ScheduleReport(
+        schedule=schedule,
+        replenishments=sum(schedule),
+        tc_hull=hull.domains[hull_mv.tc],
+        wall_time_s=time.perf_counter() - started,
+        **resolved,
+    )
+
+
 def evaluate_schedule(
     inst: InventoryInstance, schedule, mode: str = "pbox"
 ) -> ScheduleReport | None:
@@ -597,33 +629,10 @@ def evaluate_schedule(
     """
     started = time.perf_counter()
     schedule = tuple(bool(flag) for flag in schedule)
-    hull, hull_mv = build_model(inst, schedule, mode=mode)
-    if hull.propagate() == FAILED:
-        return None
     resolved = _resolve(inst, schedule, mode)
     if resolved is None:
         return None
-    store, mv = resolved
-    stats = dict(store.stats)
-    stats["labeling"] = "robust"
-    cycles = tuple(
-        CycleDomains(
-            order=store.domains[mv.order[t]],
-            stock=store.domains[mv.stock[t]],
-            demand=store.domains[mv.demand[t]],
-        )
-        for t in range(inst.horizon)
-    )
-    return ScheduleReport(
-        schedule=schedule,
-        replenishments=sum(schedule),
-        tc=store.domains[mv.tc],
-        tc_hull=hull.domains[hull_mv.tc],
-        holding=store.domains[mv.holding],
-        cycles=cycles,
-        wall_time_s=time.perf_counter() - started,
-        stats=stats,
-    )
+    return _report(inst, schedule, mode, _resolved_fields(*resolved), started)
 
 
 # -- search -------------------------------------------------------------------
@@ -669,10 +678,6 @@ class SearchResult:
         }
 
 
-# Counters a search carries into its SearchResult.
-_SEARCH_COUNTS = ("nodes", "clones", "domain_writes")
-
-
 def _schedule_key(tc_lo: float, schedule: tuple[bool, ...]):
     return (tc_lo, sum(schedule), schedule)
 
@@ -684,7 +689,9 @@ class _Searcher:
     store bounds the cost of every completion from below, so a branch is
     abandoned once that bound exceeds the incumbent's.  Full schedules are
     scored on the resolved store with robust order sizes; schedules whose
-    caps cannot cover worst-case demand are infeasible.
+    caps cannot cover worst-case demand are infeasible.  The incumbent keeps
+    its resolved report fields, so :meth:`result` only adds the relaxed
+    network's cost to complete the winner's report.
     """
 
     def __init__(self, inst: InventoryInstance, mode: str):
@@ -696,9 +703,13 @@ class _Searcher:
         for t in range(inst.horizon - 1, -1, -1):
             self.rest_worst[t] = self.rest_worst[t + 1] + self.worst[t]
         self._cost_to_go = self._min_future_overhead()
-        self.counts = dict.fromkeys(_SEARCH_COUNTS, 0)
+        self.nodes = 0
+        self.clones = 0
+        self.domain_writes = 0
         self.visited: list[tuple[tuple[bool, ...], float, float]] = []
-        self.incumbent_key = None
+        # The best visited entry and its resolved report fields.
+        self.incumbent = None
+        self.incumbent_fields: dict | None = None
         # The greedy seed's visited entry, so its leaf is not scored twice.
         self.seed = None
 
@@ -764,8 +775,12 @@ class _Searcher:
             entry = (schedule, tc.lo.q, tc.hi.q)
         self.visited.append(entry)
         key = _schedule_key(entry[1], schedule)
-        if self.incumbent_key is None or key < self.incumbent_key:
-            self.incumbent_key = key
+        best = self.incumbent
+        if best is None or key < _schedule_key(best[1], best[0]):
+            # Only a freshly resolved leaf can improve: the seed's entry is
+            # the incumbent or was beaten already when the DFS reaches it.
+            self.incumbent = entry
+            self.incumbent_fields = _resolved_fields(store, mv)
         return entry
 
     def _seed_incumbent(self) -> None:
@@ -773,19 +788,45 @@ class _Searcher:
         if schedule is not None:
             self.seed = self._score(tuple(schedule))
 
-    def run(self, prefix: tuple[bool, ...] = ()) -> None:
+    def run(self) -> None:
         store, mv = build_model(self.inst, [None] * self.inst.horizon, mode=self.mode)
         status = store.propagate()
-        self.counts["domain_writes"] += store.stats["prunes"]
+        self.domain_writes += store.stats["prunes"]
         if status == FAILED:
             return
         self._seed_incumbent()
-        path: list[bool] = []
-        for flag in prefix:
-            if self._fix(store, mv, len(path), flag, path) == FAILED:
-                return
-            path.append(flag)
-        self._dfs(store, mv, path)
+        if self._survives(store, mv, []):
+            self._dfs(store, mv, [])
+
+    def result(self, started: float) -> SearchResult:
+        """The winner's report and the frontier of the leaves visited."""
+        best, frontier = None, ()
+        if self.incumbent is not None:
+            best_schedule, best_lo, best_hi = self.incumbent
+            tol = tolerance()
+            frontier = tuple(
+                FrontierEntry(schedule, sum(schedule), lo, hi)
+                for schedule, lo, hi in sorted(
+                    (
+                        item
+                        for item in set(self.visited)
+                        if item[1] <= best_hi + tol and item[2] >= best_lo - tol
+                    ),
+                    key=lambda item: _schedule_key(item[1], item[0]),
+                )
+            )
+            best = _report(
+                self.inst, best_schedule, self.mode, self.incumbent_fields, started
+            )
+        return SearchResult(
+            status="optimal" if self.incumbent is not None else "infeasible",
+            best=best,
+            frontier=frontier,
+            nodes=self.nodes,
+            clones=self.clones,
+            domain_writes=self.domain_writes,
+            wall_time_s=time.perf_counter() - started,
+        )
 
     def _fix(
         self, store: DomainStore, mv: ModelVars, t: int, on: bool, path: list[bool]
@@ -816,7 +857,7 @@ class _Searcher:
                 required += self.worst[j]
                 j -= 1
         status = store.propagate()
-        self.counts["domain_writes"] += store.stats["prunes"] - writes_before
+        self.domain_writes += store.stats["prunes"] - writes_before
         return status
 
     def _coverable(self, path: list[bool]) -> bool:
@@ -849,119 +890,48 @@ class _Searcher:
                 floor = cand
         return bound + floor if math.isfinite(floor) else math.inf
 
+    def _survives(self, store: DomainStore, mv: ModelVars, path: list[bool]) -> bool:
+        # Counts a consistent node; False once its bound exceeds the incumbent.
+        self.nodes += 1
+        return not (
+            self.incumbent is not None
+            and self._node_bound(store, mv, path) > self.incumbent[1] + tolerance()
+        )
+
     def _dfs(self, store: DomainStore, mv: ModelVars, path: list[bool]) -> None:
-        self.counts["nodes"] += 1
-        if store.status == FAILED:
-            return
-        depth = len(path)
-        if (
-            self.incumbent_key is not None
-            and self._node_bound(store, mv, path)
-            > self.incumbent_key[0] + tolerance()
-        ):
-            return
-        if depth == self.inst.horizon:
-            self._score(tuple(path))
-            return
+        # Branches on the next cycle of a surviving partial schedule.
         if not self._coverable(path):
             return
+        depth = len(path)
         for flag in (False, True):
             child = store.clone()
-            self.counts["clones"] += 1
-            if self._fix(child, mv, depth, flag, path) != FAILED:
-                path.append(flag)
-                self._dfs(child, mv, path)
-                path.pop()
+            self.clones += 1
+            if self._fix(child, mv, depth, flag, path) == FAILED:
+                continue
+            path.append(flag)
+            if self._survives(child, mv, path):
+                if depth + 1 < self.inst.horizon:
+                    self._dfs(child, mv, path)
+                else:
+                    # The leaf's relaxed store is done with; dropping it
+                    # before the pinned network is built lowers peak memory.
+                    del child
+                    self._score(tuple(path))
+            path.pop()
 
 
-def _merge_visited(inst, mode, visited, counts, started) -> SearchResult:
-    if not visited:
-        return SearchResult(
-            status="infeasible",
-            best=None,
-            frontier=(),
-            **counts,
-            wall_time_s=time.perf_counter() - started,
-        )
-    best_schedule, best_lo, best_hi = min(
-        visited, key=lambda item: _schedule_key(item[1], item[0])
-    )
-    tol = tolerance()
-    frontier = tuple(
-        FrontierEntry(schedule, sum(schedule), lo, hi)
-        for schedule, lo, hi in sorted(
-            (
-                item
-                for item in set(visited)
-                if item[1] <= best_hi + tol and item[2] >= best_lo - tol
-            ),
-            key=lambda item: _schedule_key(item[1], item[0]),
-        )
-    )
-    best = evaluate_schedule(inst, best_schedule, mode=mode)
-    return SearchResult(
-        status="optimal",
-        best=best,
-        frontier=frontier,
-        **counts,
-        wall_time_s=time.perf_counter() - started,
-    )
-
-
-def _subtree_worker(payload: dict) -> dict:
-    # Workers started by spawn or forkserver do not inherit the tolerance.
-    set_tolerance(payload["tolerance"])
-    inst = InventoryInstance.from_dict(payload["instance"])
-    searcher = _Searcher(inst, payload["mode"])
-    searcher.run(tuple(bool(flag) for flag in payload["prefix"]))
-    return {
-        "visited": [(list(s), lo, hi) for s, lo, hi in searcher.visited],
-        **searcher.counts,
-    }
-
-
-def search(
-    inst: InventoryInstance,
-    mode: str = "pbox",
-    parallel: int = 0,
-) -> SearchResult:
+def search(inst: InventoryInstance, mode: str = "pbox") -> SearchResult:
     """Best schedule plus the frontier of interval-indistinguishable ones.
 
     The frontier holds every enumerated feasible schedule whose total-cost
-    interval overlaps the incumbent's.  ``parallel`` > 1 farms fixed-prefix
-    subtrees out to worker processes; workers prune only locally, so the
-    incumbent is identical but the frontier can be a superset of a serial
-    run's.
+    interval overlaps the incumbent's.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     started = time.perf_counter()
-    if parallel and parallel > 1 and inst.horizon > 2:
-        depth = min(3, inst.horizon - 1, max(1, parallel.bit_length()))
-        prefixes = list(product((False, True), repeat=depth))
-        payload = {"instance": inst.to_dict(), "mode": mode, "tolerance": tolerance()}
-        visited: list[tuple[tuple[bool, ...], float, float]] = []
-        try:
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
-                results = list(
-                    pool.map(
-                        _subtree_worker,
-                        [{**payload, "prefix": list(p)} for p in prefixes],
-                    )
-                )
-        except (OSError, PermissionError):
-            results = None
-        if results is not None:
-            for res in results:
-                visited.extend(
-                    (tuple(bool(v) for v in s), lo, hi) for s, lo, hi in res["visited"]
-                )
-            counts = {key: sum(res[key] for res in results) for key in _SEARCH_COUNTS}
-            return _merge_visited(inst, mode, visited, counts, started)
-        # fall through to the serial search when no worker pool is available
     searcher = _Searcher(inst, mode)
     searcher.run()
-    return _merge_visited(inst, mode, searcher.visited, searcher.counts, started)
+    return searcher.result(started)
 
 
 # -- benchmark ----------------------------------------------------------------
@@ -1038,7 +1008,6 @@ def run_benchmark(
     model: str = "pbox",
     x_min: float = 1.0,
     x_max: float = DEFAULT_X_MAX,
-    parallel: int = 0,
     instance: InventoryInstance | None = None,
 ) -> dict:
     """Timed search runs over seeded instances, one row per horizon.
@@ -1046,19 +1015,20 @@ def run_benchmark(
     Rows record wall time and allocation counters (domain writes and store
     clones stand in for heap metrics).  Under the p-box model each row also
     carries the convex evaluation of the winning schedule and containment
-    checks of the total-cost intervals.
+    checks of the total-cost intervals.  A given ``instance`` replaces the
+    seeded ones: it runs once, and the report's horizons are its own.
     """
     if model not in MODES:
         raise ValueError(f"model must be one of {MODES}, got {model!r}")
+    instances = (
+        [instance]
+        if instance is not None
+        else [default_instance(int(h), seed, x_min=x_min, x_max=x_max) for h in horizons]
+    )
     rows = []
-    for horizon in horizons:
-        inst = (
-            instance
-            if instance is not None
-            else default_instance(int(horizon), seed, x_min=x_min, x_max=x_max)
-        )
+    for inst in instances:
         started = time.perf_counter()
-        result = search(inst, mode=model, parallel=parallel)
+        result = search(inst, mode=model)
         elapsed = time.perf_counter() - started
         row = {
             "horizon": inst.horizon,
@@ -1081,7 +1051,7 @@ def run_benchmark(
     return {
         "model": model,
         "seed": seed,
-        "horizons": [int(h) for h in horizons],
+        "horizons": [inst.horizon for inst in instances],
         "x_min": x_min,
         "x_max": x_max,
         "rows": rows,

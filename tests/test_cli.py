@@ -225,26 +225,8 @@ class TestBench:
         assert lines[0].startswith("horizon,cycle,ordered")
         assert len(lines) == 5
 
-    def test_parallel_flag(self, tmp_path):
-        out = tmp_path / "report.json"
-        code = main(
-            [
-                "bench",
-                "--horizons",
-                "5",
-                "--seed",
-                "42",
-                "--model",
-                "pbox",
-                "--parallel",
-                "2",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["rows"][0]["status"] == "optimal"
+    def test_parallel_flag_rejected(self):
+        assert main(["bench", "--horizons", "5", "--parallel", "2"]) == 2
 
     def test_instance_file_input(self, tmp_path):
         instance = tmp_path / "inst.json"
