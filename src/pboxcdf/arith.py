@@ -34,13 +34,6 @@ class QuantileInterval:
         if self.lo > self.hi:
             raise ValueError(f"bounds out of order: {self.lo!r} > {self.hi!r}")
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0.0 <= self.hi
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def checked(lo: float, hi: float) -> QuantileInterval:
     """The range [lo, hi]; an overflowed bound is an error."""

@@ -312,10 +312,8 @@ class ModelVars:
     stock: list[int] = field(default_factory=list)
     demand: list[int] = field(default_factory=list)
     order_cost: list[int] = field(default_factory=list)
-    cycle_cost: list[int] = field(default_factory=list)
     tc: int = -1
     holding: int = -1
-    total_orders: int = -1
 
 
 class _Chain:
@@ -429,18 +427,6 @@ def build_model(
         )
         store.post(Constraint("mul", (vvar, x_t, buy_t)))
 
-        fixed_t = store.new_var(
-            combine_bindings("add", store.domains[a_t], store.domains[hold_t]),
-            name=f"fixed_hold{cyc}",
-        )
-        store.post(Constraint("add", (a_t, hold_t, fixed_t)))
-        cost_t = store.new_var(
-            combine_bindings("add", store.domains[fixed_t], store.domains[buy_t]),
-            name=f"cost{cyc}",
-        )
-        store.post(Constraint("add", (fixed_t, buy_t, cost_t)))
-        mv.cycle_cost.append(cost_t)
-
         order_sum.extend(x_t)
         demand_sum.extend(d_t)
         acost_sum.extend(a_t)
@@ -487,7 +473,6 @@ def build_model(
 
     mv.tc = tc
     mv.holding = hold_sum.var
-    mv.total_orders = order_sum.var
     return store, mv
 
 
@@ -638,27 +623,10 @@ def evaluate_schedule(
 # -- search -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrontierEntry:
-    schedule: tuple[bool, ...]
-    replenishments: int
-    tc_lo: float
-    tc_hi: float
-
-    def to_dict(self) -> dict:
-        return {
-            "schedule": [int(flag) for flag in self.schedule],
-            "replenishments": self.replenishments,
-            "tc_lo": self.tc_lo,
-            "tc_hi": self.tc_hi,
-        }
-
-
 @dataclass
 class SearchResult:
     status: str  # "optimal" or "infeasible"
     best: ScheduleReport | None
-    frontier: tuple[FrontierEntry, ...]
     nodes: int
     clones: int
     # Domain changes made by the search: the root store's propagation plus
@@ -670,7 +638,6 @@ class SearchResult:
         return {
             "status": self.status,
             "best": self.best.to_dict() if self.best is not None else None,
-            "frontier": [entry.to_dict() for entry in self.frontier],
             "nodes": self.nodes,
             "clones": self.clones,
             "domain_writes": self.domain_writes,
@@ -706,11 +673,11 @@ class _Searcher:
         self.nodes = 0
         self.clones = 0
         self.domain_writes = 0
-        self.visited: list[tuple[tuple[bool, ...], float, float]] = []
-        # The best visited entry and its resolved report fields.
+        # The best scored leaf as (schedule, tc.lo.q) and its resolved report
+        # fields.
         self.incumbent = None
         self.incumbent_fields: dict | None = None
-        # The greedy seed's visited entry, so its leaf is not scored twice.
+        # The greedy seed's scored leaf, so its leaf is not scored twice.
         self.seed = None
 
     def _min_future_overhead(self) -> list[float]:
@@ -758,9 +725,7 @@ class _Searcher:
                 return None
         return schedule
 
-    def _score(
-        self, schedule: tuple[bool, ...]
-    ) -> tuple[tuple[bool, ...], float, float] | None:
+    def _score(self, schedule: tuple[bool, ...]) -> tuple[tuple[bool, ...], float] | None:
         # A leaf costs one pinned build and propagation: once the caps cover
         # worst-case demand, the covering sizes are a scenario of the relaxed
         # network, so that network cannot fail where the pinned one holds.
@@ -771,9 +736,7 @@ class _Searcher:
             if resolved is None:
                 return None
             store, mv = resolved
-            tc = store.domains[mv.tc]
-            entry = (schedule, tc.lo.q, tc.hi.q)
-        self.visited.append(entry)
+            entry = (schedule, store.domains[mv.tc].lo.q)
         key = _schedule_key(entry[1], schedule)
         best = self.incumbent
         if best is None or key < _schedule_key(best[1], best[0]):
@@ -799,29 +762,15 @@ class _Searcher:
             self._dfs(store, mv, [])
 
     def result(self, started: float) -> SearchResult:
-        """The winner's report and the frontier of the leaves visited."""
-        best, frontier = None, ()
+        """The search's counters and the winner's report."""
+        best = None
         if self.incumbent is not None:
-            best_schedule, best_lo, best_hi = self.incumbent
-            tol = tolerance()
-            frontier = tuple(
-                FrontierEntry(schedule, sum(schedule), lo, hi)
-                for schedule, lo, hi in sorted(
-                    (
-                        item
-                        for item in set(self.visited)
-                        if item[1] <= best_hi + tol and item[2] >= best_lo - tol
-                    ),
-                    key=lambda item: _schedule_key(item[1], item[0]),
-                )
-            )
             best = _report(
-                self.inst, best_schedule, self.mode, self.incumbent_fields, started
+                self.inst, self.incumbent[0], self.mode, self.incumbent_fields, started
             )
         return SearchResult(
             status="optimal" if self.incumbent is not None else "infeasible",
             best=best,
-            frontier=frontier,
             nodes=self.nodes,
             clones=self.clones,
             domain_writes=self.domain_writes,
@@ -921,11 +870,8 @@ class _Searcher:
 
 
 def search(inst: InventoryInstance, mode: str = "pbox") -> SearchResult:
-    """Best schedule plus the frontier of interval-indistinguishable ones.
-
-    The frontier holds every enumerated feasible schedule whose total-cost
-    interval overlaps the incumbent's.
-    """
+    """Best schedule: the least total-cost lower bound, then the fewest
+    replenishments, then the lexicographically least schedule."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     started = time.perf_counter()
@@ -1016,15 +962,18 @@ def run_benchmark(
     clones stand in for heap metrics).  Under the p-box model each row also
     carries the convex evaluation of the winning schedule and containment
     checks of the total-cost intervals.  A given ``instance`` replaces the
-    seeded ones: it runs once, and the report's horizons are its own.
+    seeded ones: it runs once, and the report's horizons and order bounds are
+    its own, with no seed.
     """
     if model not in MODES:
         raise ValueError(f"model must be one of {MODES}, got {model!r}")
-    instances = (
-        [instance]
-        if instance is not None
-        else [default_instance(int(h), seed, x_min=x_min, x_max=x_max) for h in horizons]
-    )
+    if instance is not None:
+        instances = [instance]
+        seed, x_min, x_max = None, instance.x_min, instance.x_max
+    else:
+        instances = [
+            default_instance(int(h), seed, x_min=x_min, x_max=x_max) for h in horizons
+        ]
     rows = []
     for inst in instances:
         started = time.perf_counter()
@@ -1040,7 +989,6 @@ def run_benchmark(
                 "store_clones": result.clones,
                 "domain_writes": result.domain_writes,
             },
-            "frontier": [entry.to_dict() for entry in result.frontier],
             "timing": {"wall_time_s": elapsed},
         }
         if result.best is not None:

@@ -87,10 +87,6 @@ class PboxInterval:
                 f"quantile bounds out of order: {self.lo.q!r} > {self.hi.q!r}"
             )
 
-    @property
-    def width(self) -> float:
-        return self.hi.q - self.lo.q
-
     def to_dict(self) -> dict:
         return {"lo": self.lo.to_dict(), "hi": self.hi.to_dict()}
 

@@ -241,6 +241,23 @@ class TestBench:
         report = json.loads(out.read_text())
         assert report["rows"][0]["horizon"] == 3
 
+    def test_instance_file_reports_its_own_bounds(self, tmp_path):
+        instance = tmp_path / "inst.json"
+        instance.write_text(
+            json.dumps(
+                {"horizon": 3, "demands": [5, 6, 7], "x_min": 2.0, "x_max": 30.0}
+            )
+        )
+        out = tmp_path / "report.json"
+        code = main(
+            ["bench", "--input", str(instance), "--model", "convex", "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert (report["x_min"], report["x_max"]) == (2.0, 30.0)
+        assert report["seed"] is None
+        assert report["rows"][0]["seed"] is None
+
     def test_determinism_across_invocations(self, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
