@@ -64,22 +64,6 @@ def div_bounds(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[floa
     return mul_bounds(a_lo, a_hi, 1.0 / b_hi, 1.0 / b_lo)
 
 
-def q_add(a: QuantileInterval, b: QuantileInterval) -> QuantileInterval:
-    return checked(*add_bounds(a.lo, a.hi, b.lo, b.hi))
-
-
-def q_sub(a: QuantileInterval, b: QuantileInterval) -> QuantileInterval:
-    return checked(*sub_bounds(a.lo, a.hi, b.lo, b.hi))
-
-
-def q_mul(a: QuantileInterval, b: QuantileInterval) -> QuantileInterval:
-    return checked(*mul_bounds(a.lo, a.hi, b.lo, b.hi))
-
-
-def q_div(a: QuantileInterval, b: QuantileInterval) -> QuantileInterval:
-    return checked(*div_bounds(a.lo, a.hi, b.lo, b.hi))
-
-
 def slide(interval: PboxInterval, target: QuantileInterval) -> PboxInterval:
     """Intersect the quantile range with ``target`` and re-anchor both cdf
     points along their own lines; the result is dominance-repaired.

@@ -126,21 +126,23 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     instance = None
+    seed = args.seed
     if args.input:
         try:
             instance = InventoryInstance.from_file(args.input)
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: cannot load instance {args.input}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        horizons = [instance.horizon]
+        # A given instance is searched as it is: no horizon or seed of ours.
+        horizons, seed = [instance.horizon], None
     if args.verbose:
         print(
-            f"benchmark model={args.model} seed={args.seed} horizons={horizons}",
+            f"benchmark model={args.model} seed={seed} horizons={horizons}",
             file=sys.stderr,
         )
     report = run_benchmark(
         horizons,
-        seed=args.seed,
+        seed=seed,
         model=args.model,
         x_min=args.x_min,
         x_max=args.x_max if args.x_max is not None else DEFAULT_X_MAX,

@@ -33,7 +33,7 @@ from .pbox import (
     tolerance,
     upper_at,
 )
-from .arith import QuantileInterval, q_add, q_mul, q_sub, slide
+from .arith import QuantileInterval, add_bounds, checked, mul_bounds, slide
 from .engine import CONSISTENT, FAILED, Constraint, DomainStore
 
 MODES = ("pbox", "convex")
@@ -52,7 +52,8 @@ class InventoryInstance:
     """Inputs of the scheduling model.
 
     Costs and demands may be scalars, p-box intervals or raw observation
-    sets; observations are enveloped when the model is built.
+    sets; :func:`model_inputs` turns them into domains, enveloping
+    observations, once per search or evaluation.
     """
 
     horizon: int
@@ -80,7 +81,7 @@ class InventoryInstance:
             ("holding_cost", self.holding_cost),
             ("unit_cost", self.unit_cost),
         ):
-            if _quantile_low(spec) < 0.0:
+            if _domain_of(spec, "convex").lo.q < 0.0:
                 raise ValueError(f"{label} must be non-negative")
 
     def to_dict(self) -> dict:
@@ -166,28 +167,9 @@ def _spec_from_json(obj, base_dir: Path | None = None):
     raise ValueError(f"cannot interpret quantity spec {obj!r}")
 
 
-def _quantile_low(spec) -> float:
-    if isinstance(spec, (int, float)):
-        return float(spec)
-    if isinstance(spec, PboxInterval):
-        return spec.lo.q
-    if isinstance(spec, ObservationSet):
-        return spec.entries[0][0]
-    raise ValueError(f"cannot interpret quantity spec {spec!r}")
-
-
-def _quantile_high(spec) -> float:
-    if isinstance(spec, (int, float)):
-        return float(spec)
-    if isinstance(spec, PboxInterval):
-        return spec.hi.q
-    if isinstance(spec, ObservationSet):
-        return spec.entries[-1][0]
-    raise ValueError(f"cannot interpret quantity spec {spec!r}")
-
-
 def _domain_of(spec, mode: str) -> PboxInterval:
-    """Turn an input quantity into its domain under the chosen representation."""
+    """Turn an input quantity into its domain under the chosen representation,
+    ``"convex"`` or p-box."""
     if isinstance(spec, (int, float)):
         return point_mass(float(spec))
     if isinstance(spec, PboxInterval):
@@ -199,6 +181,38 @@ def _domain_of(spec, mode: str) -> PboxInterval:
             return convex_interval(spec.entries[0][0], spec.entries[-1][0])
         return envelope(empirical_cdf(spec))
     raise ValueError(f"cannot interpret quantity spec {spec!r}")
+
+
+@dataclass(frozen=True)
+class ModelInputs:
+    """An instance's quantities as domains under one representation.
+
+    Every network of one search or evaluation starts from these domains, so
+    observations are enveloped once per run.  ``worst`` holds each cycle's
+    worst-case demand.
+    """
+
+    inst: InventoryInstance
+    ordering_cost: PboxInterval
+    holding_cost: PboxInterval
+    unit_cost: PboxInterval
+    demands: tuple[PboxInterval, ...]
+    worst: tuple[float, ...]
+
+
+def model_inputs(inst: InventoryInstance, mode: str = "pbox") -> ModelInputs:
+    """The domains of ``inst`` under ``mode``, ``"pbox"`` or ``"convex"``."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    demands = tuple(_domain_of(d, mode) for d in inst.demands)
+    return ModelInputs(
+        inst=inst,
+        ordering_cost=_domain_of(inst.ordering_cost, mode),
+        holding_cost=_domain_of(inst.holding_cost, mode),
+        unit_cost=_domain_of(inst.unit_cost, mode),
+        demands=demands,
+        worst=tuple(d.hi.q for d in demands),
+    )
 
 
 # -- initial bindings for derived quantities ---------------------------------
@@ -221,71 +235,51 @@ def _levelwise(f1: float, s1: float, f2: float, s2: float) -> tuple[float, float
     return min(max(f, 0.0), 1.0), s
 
 
+def _negated(d: PboxInterval) -> PboxInterval:
+    # -X mirrors the quantiles and swaps the ends; each line keeps its slope,
+    # and the cdf level f at q becomes 1 - f at -q.
+    return PboxInterval(
+        CdfPoint(-d.hi.q, 1.0 - d.hi.f, d.hi.s), CdfPoint(-d.lo.q, 1.0 - d.lo.f, d.lo.s)
+    )
+
+
 def combine_bindings(op: str, a: PboxInterval, b: PboxInterval) -> PboxInterval:
     """Initial binding for a derived quantity ``a op b``.
 
-    Quantile bounds follow real interval arithmetic.  Candidate cdf bound
-    lines come from two constructions.  A shifted (for products over
-    non-negative ranges, scaled) copy of one operand's own line is sound
-    regardless of dependence, but only when its source line spans the full
-    [0, 1] range or the other operand is a known constant, since otherwise
-    the line would be extrapolated beyond its valid region.  Treating the
-    operands as driven by one common level (the convention for this model's
-    uncertain quantities) also admits the level-wise combination of both
-    lines, whose slope is the harmonic mean; it stays informative through
-    long chains of sums where any single shifted line clips to vacuity.
-    The tightest candidate at the midpoint wins, and with no candidate at
-    all the bound degrades to the convex one.
+    Quantile bounds follow real interval arithmetic, and ``a - b`` is
+    ``a + (-b)``.  Candidate cdf bound lines come from two constructions.  A
+    shifted (for products over non-negative ranges, scaled) copy of one
+    operand's own line is sound regardless of dependence, but only when its
+    source line spans the full [0, 1] range or the other operand is a known
+    constant, since otherwise the line would be extrapolated beyond its valid
+    region.  Treating the operands of a sum as driven by one common level
+    (the convention for this model's uncertain quantities) also admits the
+    level-wise combination of both lines, whose slope is the harmonic mean;
+    it stays informative through long chains of sums where any single
+    shifted line clips to vacuity.  The tightest candidate at the midpoint
+    wins, and with no candidate at all the bound degrades to the convex one.
     """
-    ra = QuantileInterval(a.lo.q, a.hi.q)
-    rb = QuantileInterval(b.lo.q, b.hi.q)
-    op_fn = {"add": q_add, "sub": q_sub, "mul": q_mul}[op]
-    rz = op_fn(ra, rb)
+    if op == "sub":
+        op, b = "add", _negated(b)
+    bounds = {"add": add_bounds, "mul": mul_bounds}[op]
+    rz = checked(*bounds(a.lo.q, a.hi.q, b.lo.q, b.hi.q))
     if rz.lo == rz.hi:
         return point_mass(rz.lo)
-    deg_a = ra.lo == ra.hi
-    deg_b = rb.lo == rb.hi
+    add = op == "add"
     uppers: list[CdfPoint] = []
     lowers: list[CdfPoint] = []
-    if op == "add":
-        if deg_b or _upper_complete(a):
-            uppers.append(CdfPoint(rz.lo, a.lo.f, a.lo.s))
-        if deg_a or _upper_complete(b):
-            uppers.append(CdfPoint(rz.lo, b.lo.f, b.lo.s))
-        if deg_b or _lower_complete(a):
-            lowers.append(CdfPoint(rz.hi, a.hi.f, a.hi.s))
-        if deg_a or _lower_complete(b):
-            lowers.append(CdfPoint(rz.hi, b.hi.f, b.hi.s))
-        if a.lo.s > 0.0 and b.lo.s > 0.0:
-            f, s = _levelwise(a.lo.f, a.lo.s, b.lo.f, b.lo.s)
-            uppers.append(CdfPoint(rz.lo, f, s))
-        if a.hi.s > 0.0 and b.hi.s > 0.0:
-            f, s = _levelwise(a.hi.f, a.hi.s, b.hi.f, b.hi.s)
-            lowers.append(CdfPoint(rz.hi, f, s))
-    elif op == "sub":
-        if deg_b or _upper_complete(a):
-            uppers.append(CdfPoint(rz.lo, a.lo.f, a.lo.s))
-        if deg_a or _lower_complete(b):
-            uppers.append(CdfPoint(rz.lo, 1.0 - b.hi.f, b.hi.s))
-        if deg_b or _lower_complete(a):
-            lowers.append(CdfPoint(rz.hi, a.hi.f, a.hi.s))
-        if deg_a or _upper_complete(b):
-            lowers.append(CdfPoint(rz.hi, 1.0 - b.lo.f, b.lo.s))
-        if a.lo.s > 0.0 and b.hi.s > 0.0:
-            f, s = _levelwise(a.lo.f, a.lo.s, 1.0 - b.hi.f, b.hi.s)
-            uppers.append(CdfPoint(rz.lo, f, s))
-        if a.hi.s > 0.0 and b.lo.s > 0.0:
-            f, s = _levelwise(a.hi.f, a.hi.s, 1.0 - b.lo.f, b.lo.s)
-            lowers.append(CdfPoint(rz.hi, f, s))
-    elif ra.lo >= 0.0 and rb.lo >= 0.0:
-        if rb.lo > 0.0 and (deg_b or _upper_complete(a)):
-            uppers.append(CdfPoint(rz.lo, a.lo.f, a.lo.s / rb.lo))
-        if ra.lo > 0.0 and (deg_a or _upper_complete(b)):
-            uppers.append(CdfPoint(rz.lo, b.lo.f, b.lo.s / ra.lo))
-        if rb.hi > 0.0 and (deg_b or _lower_complete(a)):
-            lowers.append(CdfPoint(rz.hi, a.hi.f, a.hi.s / rb.hi))
-        if ra.hi > 0.0 and (deg_a or _lower_complete(b)):
-            lowers.append(CdfPoint(rz.hi, b.hi.f, b.hi.s / ra.hi))
+    if add or (a.lo.q >= 0.0 and b.lo.q >= 0.0):
+        for d, other in ((a, b), (b, a)):
+            known = other.lo.q == other.hi.q
+            lo_scale, hi_scale = (1.0, 1.0) if add else (other.lo.q, other.hi.q)
+            if lo_scale > 0.0 and (known or _upper_complete(d)):
+                uppers.append(CdfPoint(rz.lo, d.lo.f, d.lo.s / lo_scale))
+            if hi_scale > 0.0 and (known or _lower_complete(d)):
+                lowers.append(CdfPoint(rz.hi, d.hi.f, d.hi.s / hi_scale))
+    if add and a.lo.s > 0.0 and b.lo.s > 0.0:
+        uppers.append(CdfPoint(rz.lo, *_levelwise(a.lo.f, a.lo.s, b.lo.f, b.lo.s)))
+    if add and a.hi.s > 0.0 and b.hi.s > 0.0:
+        lowers.append(CdfPoint(rz.hi, *_levelwise(a.hi.f, a.hi.s, b.hi.f, b.hi.s)))
     if not uppers:
         uppers = [CdfPoint(rz.lo, 1.0, 0.0)]
     if not lowers:
@@ -339,7 +333,7 @@ class _Chain:
 
 
 def build_model(
-    inst: InventoryInstance, schedule, mode: str = "pbox", order_sizes=None
+    inputs: ModelInputs, schedule, order_sizes=None
 ) -> tuple[DomainStore, ModelVars]:
     """Constraint network for one (possibly partially decided) schedule.
 
@@ -351,8 +345,7 @@ def build_model(
     to total demand, and the purchase part of the cost tied to total orders)
     sharpen the cost lower bound used for pruning.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    inst = inputs.inst
     if len(schedule) != inst.horizon:
         raise ValueError(f"schedule length {len(schedule)} != horizon {inst.horizon}")
     if order_sizes is not None and len(order_sizes) != inst.horizon:
@@ -361,9 +354,9 @@ def build_model(
     store = DomainStore()
     mv = ModelVars()
 
-    a_bind = _domain_of(inst.ordering_cost, mode)
-    h_bind = _domain_of(inst.holding_cost, mode)
-    v_bind = _domain_of(inst.unit_cost, mode)
+    a_bind = inputs.ordering_cost
+    h_bind = inputs.holding_cost
+    v_bind = inputs.unit_cost
     hvar = store.new_var(h_bind, name="h")
     vvar = store.new_var(v_bind, name="v")
     i0var = store.new_var(point_mass(inst.initial_stock), name="stock0")
@@ -377,7 +370,7 @@ def build_model(
     prev_stock = i0var
     for t in range(inst.horizon):
         cyc = t + 1
-        d_t = store.new_var(_domain_of(inst.demands[t], mode), name=f"demand{cyc}")
+        d_t = store.new_var(inputs.demands[t], name=f"demand{cyc}")
         mv.demand.append(d_t)
 
         decided = schedule[t]
@@ -448,7 +441,7 @@ def build_model(
     # Orders must be able to meet demand up to the next replenishment, so the
     # total ordered quantity is floored by worst-case total demand.  Pinned
     # covering sizes can sum to a rounding ulp below that floor.
-    worst_total = sum(_quantile_high(d) for d in inst.demands) - inst.initial_stock
+    worst_total = sum(inputs.worst) - inst.initial_stock
     tx_dom = store.domains[order_sum.var]
     if worst_total > tx_dom.lo.q:
         if worst_total > tx_dom.hi.q + tolerance():
@@ -519,14 +512,15 @@ class ScheduleReport:
         }
 
 
-def robust_order_sizes(inst: InventoryInstance, schedule) -> list[float] | None:
+def robust_order_sizes(inputs: ModelInputs, schedule) -> list[float] | None:
     """Cheapest order quantities that cover worst-case demand in every cycle.
 
     Each cycle's worst-case demand is served first from initial stock, then
     from the latest order point with spare capacity, which minimizes holding.
     Returns None when the caps cannot cover some cycle.
     """
-    worst = [_quantile_high(d) for d in inst.demands]
+    inst = inputs.inst
+    worst = inputs.worst
     alloc = [0.0] * inst.horizon
     spare = [inst.x_max if flag else 0.0 for flag in schedule]
     stock = inst.initial_stock
@@ -553,14 +547,14 @@ def robust_order_sizes(inst: InventoryInstance, schedule) -> list[float] | None:
     return alloc
 
 
-def _resolve(inst: InventoryInstance, schedule, mode: str):
+def _resolve(inputs: ModelInputs, schedule):
     """Propagated network of a decided schedule with its orders pinned to the
     cheapest covering sizes, as ``(store, vars)``; None when the caps cannot
     cover worst-case demand or the network is inconsistent."""
-    sizes = robust_order_sizes(inst, schedule)
+    sizes = robust_order_sizes(inputs, schedule)
     if sizes is None:
         return None
-    store, mv = build_model(inst, schedule, mode=mode, order_sizes=sizes)
+    store, mv = build_model(inputs, schedule, order_sizes=sizes)
     if store.propagate() == FAILED:
         return None
     return store, mv
@@ -586,10 +580,10 @@ def _resolved_fields(store: DomainStore, mv: ModelVars) -> dict:
 
 
 def _report(
-    inst: InventoryInstance, schedule, mode: str, resolved: dict, started: float
+    inputs: ModelInputs, schedule, resolved: dict, started: float
 ) -> ScheduleReport | None:
     # Completes a resolved schedule's report with the relaxed network's cost.
-    hull, hull_mv = build_model(inst, schedule, mode=mode)
+    hull, hull_mv = build_model(inputs, schedule)
     if hull.propagate() == FAILED:
         return None
     return ScheduleReport(
@@ -613,11 +607,12 @@ def evaluate_schedule(
     of the relaxed network, whose orders range over their caps.
     """
     started = time.perf_counter()
+    inputs = model_inputs(inst, mode)
     schedule = tuple(bool(flag) for flag in schedule)
-    resolved = _resolve(inst, schedule, mode)
+    resolved = _resolve(inputs, schedule)
     if resolved is None:
         return None
-    return _report(inst, schedule, mode, _resolved_fields(*resolved), started)
+    return _report(inputs, schedule, _resolved_fields(*resolved), started)
 
 
 # -- search -------------------------------------------------------------------
@@ -661,11 +656,13 @@ class _Searcher:
     network's cost to complete the winner's report.
     """
 
-    def __init__(self, inst: InventoryInstance, mode: str):
+    def __init__(self, inputs: ModelInputs):
+        inst = inputs.inst
+        self.inputs = inputs
         self.inst = inst
-        self.mode = mode
-        self.a_bind = _domain_of(inst.ordering_cost, mode)
-        self.worst = [_quantile_high(d) for d in inst.demands]
+        self.a_bind = inputs.ordering_cost
+        self.h_lo = inputs.holding_cost.lo.q
+        self.worst = inputs.worst
         self.rest_worst = [0.0] * (inst.horizon + 1)
         for t in range(inst.horizon - 1, -1, -1):
             self.rest_worst[t] = self.rest_worst[t + 1] + self.worst[t]
@@ -686,7 +683,7 @@ class _Searcher:
         # part is excluded since the total-order floor already prices it.
         n = self.inst.horizon
         a_lo = self.a_bind.lo.q
-        h_lo = _quantile_low(self.inst.holding_cost)
+        h_lo = self.h_lo
         dp = [math.inf] * (n + 1)
         dp[n] = 0.0
         for i in range(n - 1, -1, -1):
@@ -732,7 +729,7 @@ class _Searcher:
         if self.seed is not None and self.seed[0] == schedule:
             entry = self.seed
         else:
-            resolved = _resolve(self.inst, schedule, self.mode)
+            resolved = _resolve(self.inputs, schedule)
             if resolved is None:
                 return None
             store, mv = resolved
@@ -752,7 +749,7 @@ class _Searcher:
             self.seed = self._score(tuple(schedule))
 
     def run(self) -> None:
-        store, mv = build_model(self.inst, [None] * self.inst.horizon, mode=self.mode)
+        store, mv = build_model(self.inputs, [None] * self.inst.horizon)
         status = store.propagate()
         self.domain_writes += store.stats["prunes"]
         if status == FAILED:
@@ -765,9 +762,7 @@ class _Searcher:
         """The search's counters and the winner's report."""
         best = None
         if self.incumbent is not None:
-            best = _report(
-                self.inst, self.incumbent[0], self.mode, self.incumbent_fields, started
-            )
+            best = _report(self.inputs, self.incumbent[0], self.incumbent_fields, started)
         return SearchResult(
             status="optimal" if self.incumbent is not None else "infeasible",
             best=best,
@@ -813,7 +808,7 @@ class _Searcher:
         # Optimistically order in every undecided cycle; if even that cannot
         # cover worst-case demand the subtree is hopeless.
         rest = self.inst.horizon - len(path)
-        return robust_order_sizes(self.inst, path + [True] * rest) is not None
+        return robust_order_sizes(self.inputs, path + [True] * rest) is not None
 
     def _node_bound(self, store: DomainStore, mv: ModelVars, path: list[bool]) -> float:
         # Relaxed total cost plus an admissible floor on future overhead.
@@ -827,7 +822,7 @@ class _Searcher:
         n = self.inst.horizon
         if self.rest_worst[depth] <= 0.0:
             return bound
-        h_lo = _quantile_low(self.inst.holding_cost)
+        h_lo = self.h_lo
         carry_cost = 0.0
         floor = self._cost_to_go[depth]
         for c in range(depth, n):
@@ -872,10 +867,8 @@ class _Searcher:
 def search(inst: InventoryInstance, mode: str = "pbox") -> SearchResult:
     """Best schedule: the least total-cost lower bound, then the fewest
     replenishments, then the lexicographically least schedule."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     started = time.perf_counter()
-    searcher = _Searcher(inst, mode)
+    searcher = _Searcher(model_inputs(inst, mode))
     searcher.run()
     return searcher.result(started)
 
@@ -965,8 +958,6 @@ def run_benchmark(
     seeded ones: it runs once, and the report's horizons and order bounds are
     its own, with no seed.
     """
-    if model not in MODES:
-        raise ValueError(f"model must be one of {MODES}, got {model!r}")
     if instance is not None:
         instances = [instance]
         seed, x_min, x_max = None, instance.x_min, instance.x_max

@@ -258,6 +258,21 @@ class TestBench:
         assert report["seed"] is None
         assert report["rows"][0]["seed"] is None
 
+    def test_verbose_instance_file_prints_the_seed_it_used(self, tmp_path, capsys):
+        instance = tmp_path / "inst.json"
+        instance.write_text(
+            json.dumps(
+                {"horizon": 3, "demands": [5, 6, 7], "x_min": 2.0, "x_max": 30.0}
+            )
+        )
+        code = main(
+            ["--verbose", "bench", "--input", str(instance), "--model", "convex"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["seed"] is None
+        assert "benchmark model=convex seed=None horizons=[3]" in captured.err
+
     def test_determinism_across_invocations(self, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):

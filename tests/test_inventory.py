@@ -7,8 +7,11 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pboxcdf import inventory
+from pboxcdf.arith import add_bounds, checked, mul_bounds, sub_bounds
 from pboxcdf.engine import CONSISTENT, FAILED
 from pboxcdf.inventory import (
     InventoryInstance,
@@ -17,18 +20,24 @@ from pboxcdf.inventory import (
     default_instance,
     evaluate_schedule,
     generate_demand_observations,
+    model_inputs,
     robust_order_sizes,
     run_benchmark,
     search,
 )
 from pboxcdf.pbox import (
     CdfPoint,
+    Inconsistent,
     ObservationSet,
     PboxInterval,
     check_dominance,
     convex_interval,
+    lower_at,
     point_mass,
     project,
+    repair_dominance,
+    tolerance,
+    upper_at,
 )
 
 from conftest import random_envelope, random_scalar_instance
@@ -47,7 +56,123 @@ def scalar_instance(n, demands, a=10.0, h=1.0, v=2.0, i0=0.0, x_min=1.0, x_max=4
     )
 
 
+def _three_branch_combine_bindings(op, a, b):
+    """Reference: the binding rule with one hand-written branch per
+    operation, subtraction included."""
+
+    def upper_complete(d):
+        return d.lo.f + d.lo.s * (d.hi.q - d.lo.q) >= 1.0 - tolerance()
+
+    def lower_complete(d):
+        return d.hi.f - d.hi.s * (d.hi.q - d.lo.q) <= tolerance()
+
+    def levelwise(f1, s1, f2, s2):
+        s = 1.0 / (1.0 / s1 + 1.0 / s2)
+        f = s * (f1 / s1 + f2 / s2)
+        return min(max(f, 0.0), 1.0), s
+
+    bounds = {"add": add_bounds, "sub": sub_bounds, "mul": mul_bounds}[op]
+    rz = checked(*bounds(a.lo.q, a.hi.q, b.lo.q, b.hi.q))
+    if rz.lo == rz.hi:
+        return point_mass(rz.lo)
+    deg_a = a.lo.q == a.hi.q
+    deg_b = b.lo.q == b.hi.q
+    uppers, lowers = [], []
+    if op == "add":
+        if deg_b or upper_complete(a):
+            uppers.append(CdfPoint(rz.lo, a.lo.f, a.lo.s))
+        if deg_a or upper_complete(b):
+            uppers.append(CdfPoint(rz.lo, b.lo.f, b.lo.s))
+        if deg_b or lower_complete(a):
+            lowers.append(CdfPoint(rz.hi, a.hi.f, a.hi.s))
+        if deg_a or lower_complete(b):
+            lowers.append(CdfPoint(rz.hi, b.hi.f, b.hi.s))
+        if a.lo.s > 0.0 and b.lo.s > 0.0:
+            uppers.append(CdfPoint(rz.lo, *levelwise(a.lo.f, a.lo.s, b.lo.f, b.lo.s)))
+        if a.hi.s > 0.0 and b.hi.s > 0.0:
+            lowers.append(CdfPoint(rz.hi, *levelwise(a.hi.f, a.hi.s, b.hi.f, b.hi.s)))
+    elif op == "sub":
+        if deg_b or upper_complete(a):
+            uppers.append(CdfPoint(rz.lo, a.lo.f, a.lo.s))
+        if deg_a or lower_complete(b):
+            uppers.append(CdfPoint(rz.lo, 1.0 - b.hi.f, b.hi.s))
+        if deg_b or lower_complete(a):
+            lowers.append(CdfPoint(rz.hi, a.hi.f, a.hi.s))
+        if deg_a or upper_complete(b):
+            lowers.append(CdfPoint(rz.hi, 1.0 - b.lo.f, b.lo.s))
+        if a.lo.s > 0.0 and b.hi.s > 0.0:
+            uppers.append(
+                CdfPoint(rz.lo, *levelwise(a.lo.f, a.lo.s, 1.0 - b.hi.f, b.hi.s))
+            )
+        if a.hi.s > 0.0 and b.lo.s > 0.0:
+            lowers.append(
+                CdfPoint(rz.hi, *levelwise(a.hi.f, a.hi.s, 1.0 - b.lo.f, b.lo.s))
+            )
+    elif a.lo.q >= 0.0 and b.lo.q >= 0.0:
+        if b.lo.q > 0.0 and (deg_b or upper_complete(a)):
+            uppers.append(CdfPoint(rz.lo, a.lo.f, a.lo.s / b.lo.q))
+        if a.lo.q > 0.0 and (deg_a or upper_complete(b)):
+            uppers.append(CdfPoint(rz.lo, b.lo.f, b.lo.s / a.lo.q))
+        if b.hi.q > 0.0 and (deg_b or lower_complete(a)):
+            lowers.append(CdfPoint(rz.hi, a.hi.f, a.hi.s / b.hi.q))
+        if a.hi.q > 0.0 and (deg_a or lower_complete(b)):
+            lowers.append(CdfPoint(rz.hi, b.hi.f, b.hi.s / a.hi.q))
+    if not uppers:
+        uppers = [CdfPoint(rz.lo, 1.0, 0.0)]
+    if not lowers:
+        lowers = [CdfPoint(rz.hi, 0.0, 0.0)]
+    mid = 0.5 * (rz.lo + rz.hi)
+    up = min(uppers, key=lambda c: (upper_at(c, mid), c.f, c.s))
+    low = max(lowers, key=lambda c: (lower_at(c, mid), c.f, -c.s))
+    try:
+        return repair_dominance(PboxInterval(up, low))
+    except Inconsistent:
+        return convex_interval(rz.lo, rz.hi)
+
+
+_levels = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_slopes = st.one_of(st.just(0.0), st.floats(0.0, 0.1), st.floats(0.0, 50.0))
+
+
+@st.composite
+def _bindings(draw):
+    """Point masses, convex ranges and line pairs, some of whose lines end
+    exactly at cdf 0 or 1 on the far quantile bound."""
+    lo = draw(st.one_of(st.just(0.0), st.floats(-100.0, 100.0)))
+    kind = draw(st.sampled_from(["point", "convex", "lines"]))
+    if kind == "point":
+        return point_mass(lo)
+    width = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 100.0)))
+    hi = lo + width
+    if kind == "convex":
+        return convex_interval(lo, hi)
+    up_f, low_f = draw(_levels), draw(_levels)
+    up_s, low_s = draw(_slopes), draw(_slopes)
+    # A width of a few ulps would give such lines an overflowing slope.
+    if hi - lo > 1e-300 and draw(st.booleans()):
+        up_s = (1.0 - up_f) / (hi - lo)
+    if hi - lo > 1e-300 and draw(st.booleans()):
+        low_s = low_f / (hi - lo)
+    return PboxInterval(CdfPoint(lo, up_f, up_s), CdfPoint(hi, low_f, low_s))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, Inconsistent) as exc:
+        return type(exc)
+
+
 class TestCombineBindings:
+    @given(st.sampled_from(["add", "sub", "mul"]), _bindings(), _bindings())
+    @settings(max_examples=1500, deadline=None)
+    def test_one_rule_matches_three_branches(self, op, a, b):
+        # Subtraction as addition of the negated operand, and one loop for
+        # the shifted and scaled copies, give the same binding bit for bit.
+        assert _outcome(combine_bindings, op, a, b) == _outcome(
+            _three_branch_combine_bindings, op, a, b
+        )
+
     def test_point_shift_is_exact(self):
         a = point_mass(5.0)
         b = random_envelope(random.Random(7))
@@ -101,7 +226,7 @@ class TestCombineBindings:
 class TestBuildModel:
     def test_single_cycle_nonnegativity_prunes_orders(self):
         inst = scalar_instance(1, [5.0], x_max=10.0)
-        store, mv = build_model(inst, [True])
+        store, mv = build_model(model_inputs(inst), [True])
         assert store.propagate() == CONSISTENT
         order = store.domains[mv.order[0]]
         stock = store.domains[mv.stock[0]]
@@ -112,7 +237,7 @@ class TestBuildModel:
 
     def test_all_idle_with_demand_fails(self):
         inst = scalar_instance(3, [5.0, 5.0, 5.0])
-        store, _ = build_model(inst, [False, False, False])
+        store, _ = build_model(model_inputs(inst), [False, False, False])
         assert store.propagate() == FAILED
 
     def test_ten_cycle_means_order_total(self):
@@ -144,8 +269,9 @@ class TestBuildModel:
         instances.append(default_instance(7, 0))
         covered = 0
         for inst in instances:
+            inputs = model_inputs(inst)
             for flags in product((False, True), repeat=inst.horizon):
-                if robust_order_sizes(inst, flags) is None:
+                if robust_order_sizes(inputs, flags) is None:
                     continue
                 covered += 1
                 assert evaluate_schedule(inst, flags) is not None, (inst, flags)
@@ -168,13 +294,14 @@ class TestBuildModel:
         # A variable that only ever appears as a constraint's result is a
         # sink: it prunes nothing and costs a binding and wakes per build.
         inst = default_instance(7, 42)
+        inputs = model_inputs(inst, mode)
         decided = search(inst, mode=mode).best.schedule
         for schedule, sizes in (
             ([None] * 7, None),
             (decided, None),
-            (decided, robust_order_sizes(inst, decided)),
+            (decided, robust_order_sizes(inputs, decided)),
         ):
-            store, mv = build_model(inst, schedule, mode=mode, order_sizes=sizes)
+            store, mv = build_model(inputs, schedule, order_sizes=sizes)
             assert store.status == CONSISTENT
             assert {c.kind for c in store.constraints} <= {"add", "sub", "mul"}
             read = {vid for c in store.constraints for vid in c.args[:2]}
@@ -187,7 +314,7 @@ class TestBuildModel:
 
     def test_every_domain_passes_dominance_after_propagation(self, rng):
         inst = default_instance(6, 13)
-        store, _ = build_model(inst, [None] * 6)
+        store, _ = build_model(model_inputs(inst), [None] * 6)
         assert store.propagate() == CONSISTENT
         for dom in store.domains:
             assert check_dominance(dom)
@@ -196,28 +323,28 @@ class TestBuildModel:
 class TestRobustOrderSizes:
     def test_covers_worst_case_with_latest_allocation(self):
         inst = scalar_instance(3, [10.0, 10.0, 10.0], x_max=25.0)
-        sizes = robust_order_sizes(inst, [True, False, True])
+        sizes = robust_order_sizes(model_inputs(inst), [True, False, True])
         assert sizes == [20.0, 0.0, 10.0]
 
     def test_cap_overflow_spills_to_earlier_order(self):
         inst = scalar_instance(3, [10.0, 10.0, 30.0], x_max=35.0)
-        sizes = robust_order_sizes(inst, [True, True, False])
+        sizes = robust_order_sizes(model_inputs(inst), [True, True, False])
         assert sizes is not None
         assert sizes[1] == pytest.approx(35.0)
         assert sizes[0] == pytest.approx(15.0)
 
     def test_initial_stock_serves_earliest_demand(self):
         inst = scalar_instance(2, [10.0, 10.0], i0=15.0, x_max=30.0)
-        sizes = robust_order_sizes(inst, [False, True])
+        sizes = robust_order_sizes(model_inputs(inst), [False, True])
         assert sizes == [0.0, 5.0]
 
     def test_uncoverable_returns_none(self):
         inst = scalar_instance(2, [10.0, 50.0], x_max=30.0)
-        assert robust_order_sizes(inst, [True, False]) is None
+        assert robust_order_sizes(model_inputs(inst), [True, False]) is None
 
     def test_minimum_order_bump(self):
         inst = scalar_instance(2, [10.0, 0.5], i0=12.0, x_min=2.0, x_max=30.0)
-        sizes = robust_order_sizes(inst, [False, True])
+        sizes = robust_order_sizes(model_inputs(inst), [False, True])
         assert sizes == [0.0, 2.0]
 
 
@@ -319,15 +446,40 @@ class TestSearch:
             assert report.tc.lo.q == pytest.approx(0.0, abs=1e-9)
             assert report.tc.hi.q == pytest.approx(0.0, abs=1e-9)
 
+    def test_each_demand_is_enveloped_once_per_search(self, monkeypatch):
+        # The inputs are normalised once per search, not at every build.
+        calls = []
+        real_envelope = inventory.envelope
+
+        def counting_envelope(cdf):
+            calls.append(cdf)
+            return real_envelope(cdf)
+
+        monkeypatch.setattr(inventory, "envelope", counting_envelope)
+        result = search(default_instance(7, 42))
+        assert result.nodes > 1
+        assert len(calls) <= 7
+
+    def test_unknown_mode_rejected(self):
+        # The schedule covers no demand, so an unchecked mode would come back
+        # as an infeasible schedule instead of an error.
+        inst = default_instance(3, 0)
+        with pytest.raises(ValueError, match="bogus"):
+            evaluate_schedule(inst, [False] * 3, mode="bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            search(inst, mode="bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            run_benchmark([3], seed=0, model="bogus")
+
     def test_each_leaf_is_resolved_once(self, monkeypatch):
         # Leaves cost one pinned network; the winner's report reuses its own.
         resolved, evaluated = [], []
         real_resolve = inventory._resolve
         real_evaluate = inventory.evaluate_schedule
 
-        def counting_resolve(inst, schedule, mode):
+        def counting_resolve(inputs, schedule):
             resolved.append(tuple(schedule))
-            return real_resolve(inst, schedule, mode)
+            return real_resolve(inputs, schedule)
 
         def counting_evaluate(inst, schedule, mode="pbox"):
             evaluated.append(tuple(schedule))
