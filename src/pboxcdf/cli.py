@@ -130,7 +130,7 @@ def cmd_bench(args) -> int:
     if args.input:
         try:
             instance = InventoryInstance.from_file(args.input)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: cannot load instance {args.input}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         # A given instance is searched as it is: no horizon or seed of ours.

@@ -3,7 +3,7 @@
 Constraints register watch lists on their variables and sit in a FIFO wake
 queue.  A propagator re-enters the queue only when one of its variables moved
 by more than the global tolerance in any scalar component, so runs terminate
-at a stable fixpoint.
+at a stable fixpoint.  One n-ary ``add`` propagator also runs ``sub``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ FAILED = "failed"
 class Constraint:
     """A constraint record over variable ids.
 
-    Binary kinds: ``eq``, ``leq``.  Ternary kinds ``add``, ``sub``, ``mul``,
+    Binary kinds: ``eq``, ``leq``.  ``add`` takes two or more terms, then
+    the result: ``x1 + ... + xn = z``.  Ternary kinds ``sub``, ``mul``,
     ``div`` relate ``args[0] op args[1] = args[2]``.
     """
 
@@ -42,13 +43,12 @@ class Constraint:
     args: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         arity = _KINDS[self.kind][0]
-        if len(self.args) != arity:
-            raise ValueError(
-                f"constraint {self.kind!r} takes {arity} variables, got {len(self.args)}"
-            )
+        n = len(self.args)
+        if n < arity or n > arity and self.kind != "add":
+            raise ValueError(f"constraint {self.kind!r} takes {arity} variables, got {n}")
 
 
 def coerce_domain(initial) -> PboxInterval:
@@ -242,23 +242,35 @@ class DomainStore:
     # The arithmetic propagators project x op y = z onto each variable in
     # turn, always reading the domains left by the previous projection.
 
-    def _prop_add(self, x: int, y: int, z: int) -> None:
+    def _prop_add(self, *args: int) -> None:
+        # x1 + ... + xn = z in O(n): z takes the left-to-right sum of the terms;
+        # term k takes z minus the later terms, one at a time, minus the sum of
+        # the earlier ones as narrowed: a binary-sum chain without accumulators.
         d = self.domains
-        dx, dy = d[x], d[y]
-        self._slide_to(z, add_bounds(dx.lo.q, dx.hi.q, dy.lo.q, dy.hi.q))
-        dz, dy = d[z], d[y]
-        self._slide_to(x, sub_bounds(dz.lo.q, dz.hi.q, dy.lo.q, dy.hi.q))
-        dz, dx = d[z], d[x]
-        self._slide_to(y, sub_bounds(dz.lo.q, dz.hi.q, dx.lo.q, dx.hi.q))
-
-    def _prop_sub(self, x: int, y: int, z: int) -> None:
-        d = self.domains
-        dx, dy = d[x], d[y]
-        self._slide_to(z, sub_bounds(dx.lo.q, dx.hi.q, dy.lo.q, dy.hi.q))
-        dz, dy = d[z], d[y]
-        self._slide_to(x, add_bounds(dz.lo.q, dz.hi.q, dy.lo.q, dy.hi.q))
-        dz, dx = d[z], d[x]
-        self._slide_to(y, sub_bounds(dx.lo.q, dx.hi.q, dz.lo.q, dz.hi.q))
+        n = len(args) - 1
+        dt = d[args[0]]
+        lo, hi = dt.lo.q, dt.hi.q
+        for i in range(1, n):
+            dt = d[args[i]]
+            lo, hi = add_bounds(lo, hi, dt.lo.q, dt.hi.q)
+        self._slide_to(args[n], (lo, hi))
+        dz = d[args[n]]
+        lo, hi = dz.lo.q, dz.hi.q
+        rests = [(lo, hi)]
+        for i in range(n - 1, 0, -1):
+            dt = d[args[i]]
+            lo, hi = sub_bounds(lo, hi, dt.lo.q, dt.hi.q)
+            rests.append((lo, hi))
+        for i, x in enumerate(args[:n]):
+            lo, hi = rests.pop()
+            if i:
+                lo, hi = sub_bounds(lo, hi, p_lo, p_hi)
+            dt = d[x]
+            # The contraction test of _slide_to, inlined: this loop is hot.
+            if not (lo <= dt.lo.q and hi >= dt.hi.q):
+                self._update(x, slide(dt, checked(lo, hi)))
+                dt = d[x]
+            p_lo, p_hi = add_bounds(p_lo, p_hi, dt.lo.q, dt.hi.q) if i else (dt.lo.q, dt.hi.q)
 
     def _prop_mul(self, x: int, y: int, z: int) -> None:
         # Reverse projections over a zero-straddling factor are skipped,
@@ -295,12 +307,12 @@ class DomainStore:
             self._slide_to(y, div_bounds(dx.lo.q, dx.hi.q, dz.lo.q, dz.hi.q))
 
 
-# Constraint kind -> (arity, propagator).
+# Constraint kind -> (arity, propagator); ``x - y = z`` runs as ``z + y = x``.
 _KINDS = {
     "eq": (2, DomainStore._prop_eq),
     "leq": (2, DomainStore._prop_leq),
     "add": (3, DomainStore._prop_add),
-    "sub": (3, DomainStore._prop_sub),
+    "sub": (3, lambda store, x, y, z: store._prop_add(z, y, x)),
     "mul": (3, DomainStore._prop_mul),
     "div": (3, DomainStore._prop_div),
 }
@@ -313,39 +325,48 @@ def parse_model(obj: dict) -> tuple[DomainStore, list[str]]:
     """Build a store from the model JSON structure.
 
     Variables carry either a full ``domain``, a convex ``range`` or a scalar
-    ``value``; constraints name variables by their declared names.
+    ``value``; constraints name variables by their declared names.  A
+    malformed model raises ``ValueError``.
     """
     if not isinstance(obj, dict):
         raise ValueError("model must be a JSON object")
+    var_specs, con_specs = obj.get("vars", []), obj.get("constraints", [])
+    if not (isinstance(var_specs, list) and isinstance(con_specs, list)):
+        raise ValueError("'vars' and 'constraints' must be lists")
     store = DomainStore()
     ids: dict[str, int] = {}
     order: list[str] = []
-    for spec in obj.get("vars", []):
+    for spec in var_specs:
+        if not isinstance(spec, dict):
+            raise ValueError(f"variable must be an object: {spec!r}")
         name = spec.get("name")
         if not isinstance(name, str) or not name:
             raise ValueError(f"variable needs a name: {spec!r}")
         if name in ids:
             raise ValueError(f"duplicate variable {name!r}")
-        if "domain" in spec:
-            domain = PboxInterval.from_dict(spec["domain"])
-        elif "range" in spec:
-            lo, hi = spec["range"]
-            domain = convex_interval(float(lo), float(hi))
-        elif "value" in spec:
-            domain = point_mass(float(spec["value"]))
-        else:
-            raise ValueError(f"variable {name!r} needs a domain, range or value")
+        try:
+            if "domain" in spec:
+                domain = PboxInterval.from_dict(spec["domain"])
+            elif "range" in spec:
+                lo, hi = spec["range"]
+                domain = convex_interval(float(lo), float(hi))
+            elif "value" in spec:
+                domain = point_mass(float(spec["value"]))
+            else:
+                raise ValueError(f"variable {name!r} needs a domain, range or value")
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"variable {name!r} has a malformed domain: {exc!r}") from None
         ids[name] = store.new_var(domain, name=name)
         order.append(name)
-    for spec in obj.get("constraints", []):
-        kind = spec.get("kind")
+    for spec in con_specs:
+        if not isinstance(spec, dict) or not isinstance(spec.get("args", []), list):
+            raise ValueError(f"constraint must be an object with a list of args: {spec!r}")
         args = spec.get("args", [])
-        resolved = []
-        for arg in args:
-            if arg not in ids:
-                raise ValueError(f"constraint references unknown variable {arg!r}")
-            resolved.append(ids[arg])
-        store.post(Constraint(kind, tuple(resolved)))
+        try:
+            resolved = tuple([ids[arg] for arg in args])
+        except (KeyError, TypeError):
+            raise ValueError(f"constraint references unknown variables: {args!r}") from None
+        store.post(Constraint(spec.get("kind"), resolved))
     return store, order
 
 

@@ -98,28 +98,32 @@ class InventoryInstance:
 
     @classmethod
     def from_dict(cls, obj: dict, base_dir: Path | None = None) -> "InventoryInstance":
-        horizon = int(obj["horizon"])
-        if "demands" in obj:
-            demands = tuple(_spec_from_json(d, base_dir) for d in obj["demands"])
-        elif "seed" in obj:
-            rng = random.Random(int(obj["seed"]) * 1_000_003 + horizon)
-            demands = tuple(generate_demand_observations(horizon, rng))
-        else:
-            raise ValueError("instance needs either 'demands' or 'seed'")
-        return cls(
-            horizon=horizon,
-            ordering_cost=_spec_from_json(
-                obj.get("ordering_cost", DEFAULT_ORDERING_COST), base_dir
-            ),
-            holding_cost=_spec_from_json(
-                obj.get("holding_cost", DEFAULT_HOLDING_COST), base_dir
-            ),
-            unit_cost=_spec_from_json(obj.get("unit_cost", DEFAULT_UNIT_COST), base_dir),
-            demands=demands,
-            initial_stock=float(obj.get("initial_stock", 0.0)),
-            x_min=float(obj.get("x_min", 1.0)),
-            x_max=float(obj.get("x_max", DEFAULT_X_MAX)),
-        )
+        """An instance from its JSON form; a malformed one raises ``ValueError``."""
+        try:
+            horizon = int(obj["horizon"])
+            if "demands" in obj:
+                demands = tuple(_spec_from_json(d, base_dir) for d in obj["demands"])
+            elif "seed" in obj:
+                rng = random.Random(int(obj["seed"]) * 1_000_003 + horizon)
+                demands = tuple(generate_demand_observations(horizon, rng))
+            else:
+                raise ValueError("instance needs either 'demands' or 'seed'")
+            return cls(
+                horizon=horizon,
+                ordering_cost=_spec_from_json(
+                    obj.get("ordering_cost", DEFAULT_ORDERING_COST), base_dir
+                ),
+                holding_cost=_spec_from_json(
+                    obj.get("holding_cost", DEFAULT_HOLDING_COST), base_dir
+                ),
+                unit_cost=_spec_from_json(obj.get("unit_cost", DEFAULT_UNIT_COST), base_dir),
+                demands=demands,
+                initial_stock=float(obj.get("initial_stock", 0.0)),
+                x_min=float(obj.get("x_min", 1.0)),
+                x_max=float(obj.get("x_max", DEFAULT_X_MAX)),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed instance: {exc!r}") from None
 
     @classmethod
     def from_file(cls, path) -> "InventoryInstance":
@@ -310,26 +314,17 @@ class ModelVars:
     holding: int = -1
 
 
-class _Chain:
-    """Running-sum helper: the first term is the chain itself."""
-
-    def __init__(self, store: DomainStore, label: str):
-        self.store = store
-        self.label = label
-        self.var: int | None = None
-
-    def extend(self, term: int) -> int:
-        store = self.store
-        if self.var is None:
-            self.var = term
-            return term
-        binding = combine_bindings(
-            "add", store.domains[self.var], store.domains[term]
-        )
-        acc = store.new_var(binding, name=f"{self.label}{len(store.domains)}")
-        store.post(Constraint("add", (self.var, term, acc)))
-        self.var = acc
-        return acc
+def _post_sum(store: DomainStore, terms: list[int], name: str) -> int:
+    """A variable for the sum of ``terms``, bound by the left fold of their
+    bindings and tied to them by one ``add``; a single term is its own sum."""
+    if len(terms) == 1:
+        return terms[0]
+    binding = store.domains[terms[0]]
+    for term in terms[1:]:
+        binding = combine_bindings("add", binding, store.domains[term])
+    total = store.new_var(binding, name=name)
+    store.post(Constraint("add", (*terms, total)))
+    return total
 
 
 def build_model(
@@ -361,12 +356,8 @@ def build_model(
     vvar = store.new_var(v_bind, name="v")
     i0var = store.new_var(point_mass(inst.initial_stock), name="stock0")
 
-    order_sum = _Chain(store, "orders_thru")
-    demand_sum = _Chain(store, "demand_thru")
-    acost_sum = _Chain(store, "ordering_thru")
-    hold_sum = _Chain(store, "holding_thru")
-    purchase_sum = _Chain(store, "purchase_thru")
-
+    holds: list[int] = []
+    buys: list[int] = []
     prev_stock = i0var
     for t in range(inst.horizon):
         cyc = t + 1
@@ -414,18 +405,19 @@ def build_model(
             combine_bindings("mul", h_bind, i_bind), name=f"holding_cost{cyc}"
         )
         store.post(Constraint("mul", (hvar, i_t, hold_t)))
+        holds.append(hold_t)
         buy_t = store.new_var(
             combine_bindings("mul", v_bind, store.domains[x_t]),
             name=f"purchase_cost{cyc}",
         )
         store.post(Constraint("mul", (vvar, x_t, buy_t)))
-
-        order_sum.extend(x_t)
-        demand_sum.extend(d_t)
-        acost_sum.extend(a_t)
-        hold_sum.extend(hold_t)
-        purchase_sum.extend(buy_t)
+        buys.append(buy_t)
         prev_stock = i_t
+
+    orders = _post_sum(store, mv.order, "total_orders")
+    demand = _post_sum(store, mv.demand, "total_demand")
+    holding = _post_sum(store, holds, "total_holding")
+    purchase = _post_sum(store, buys, "total_purchase")
 
     # Conservation closure: total orders = total demand + (final - initial stock).
     # Redundant for single solutions but it lifts the purchase-cost floor that
@@ -435,37 +427,22 @@ def build_model(
         name="net_stock_gain",
     )
     store.post(Constraint("sub", (prev_stock, i0var, drained)))
-    store.post(Constraint("add", (demand_sum.var, drained, order_sum.var)))
-    store.post(Constraint("mul", (vvar, order_sum.var, purchase_sum.var)))
+    store.post(Constraint("add", (demand, drained, orders)))
+    store.post(Constraint("mul", (vvar, orders, purchase)))
 
     # Orders must be able to meet demand up to the next replenishment, so the
     # total ordered quantity is floored by worst-case total demand.  Pinned
     # covering sizes can sum to a rounding ulp below that floor.
     worst_total = sum(inputs.worst) - inst.initial_stock
-    tx_dom = store.domains[order_sum.var]
+    tx_dom = store.domains[orders]
     if worst_total > tx_dom.lo.q:
         if worst_total > tx_dom.hi.q + tolerance():
             store.fail()
             return store, mv
-        store.tighten(order_sum.var, (min(worst_total, tx_dom.hi.q), tx_dom.hi.q))
+        store.tighten(orders, (min(worst_total, tx_dom.hi.q), tx_dom.hi.q))
 
-    overhead = store.new_var(
-        combine_bindings(
-            "add", store.domains[acost_sum.var], store.domains[hold_sum.var]
-        ),
-        name="ordering_plus_holding",
-    )
-    store.post(Constraint("add", (acost_sum.var, hold_sum.var, overhead)))
-    tc = store.new_var(
-        combine_bindings(
-            "add", store.domains[overhead], store.domains[purchase_sum.var]
-        ),
-        name="total_cost",
-    )
-    store.post(Constraint("add", (overhead, purchase_sum.var, tc)))
-
-    mv.tc = tc
-    mv.holding = hold_sum.var
+    mv.tc = _post_sum(store, [*mv.order_cost, holding, purchase], "total_cost")
+    mv.holding = holding
     return store, mv
 
 

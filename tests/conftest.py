@@ -54,6 +54,15 @@ def random_scalar_instance(rng: random.Random) -> InventoryInstance:
     )
 
 
+def strip_keys(obj, keys=("timing", "wall_time_s")):
+    """``obj`` without the given keys at any depth."""
+    if isinstance(obj, dict):
+        return {k: strip_keys(v, keys) for k, v in obj.items() if k not in keys}
+    if isinstance(obj, list):
+        return [strip_keys(v, keys) for v in obj]
+    return obj
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

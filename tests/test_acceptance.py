@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the pytest output.
 """
 
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,7 @@ from conftest import (
     random_envelope,
     random_observations,
     random_scalar_instance,
+    strip_keys,
 )
 
 
@@ -256,6 +259,16 @@ def test_criterion_7_tractability(bench_reports):
         "criterion 7 tractability",
         f"t=24 pbox {t_pbox:.2f}s vs convex {t_convex:.2f}s, ratio {t_pbox / t_convex:.2f}",
     )
+
+
+@pytest.mark.parametrize("index, model", [(0, "pbox"), (1, "convex")])
+def test_h24_results_match_golden(bench_reports, index, model):
+    # The seeded h24 row without counters and timings, stored as JSON
+    # (which round-trips floats exactly).
+    row = next(r for r in bench_reports[index]["rows"] if r["horizon"] == 24)
+    golden = Path(__file__).parent / "data" / f"bench_h24_seed42_{model}.json"
+    fields = strip_keys(row, ("timing", "wall_time_s", "alloc_counters", "stats"))
+    assert fields == json.loads(golden.read_text())
 
 
 def test_criterion_8_envelope_tightness():

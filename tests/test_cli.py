@@ -167,6 +167,45 @@ class TestSolve:
         code, _ = self._solve(tmp_path, model)
         assert code == 2
 
+    def test_four_variable_add(self, tmp_path):
+        model = {
+            "vars": [
+                {"name": "a", "range": [1, 2]},
+                {"name": "b", "range": [3, 4]},
+                {"name": "c", "value": 5},
+                {"name": "total", "range": [0, 9.5]},
+            ],
+            "constraints": [{"kind": "add", "args": ["a", "b", "c", "total"]}],
+        }
+        code, payload = self._solve(tmp_path, model)
+        assert code == 0
+        ranges = {
+            v["name"]: (v["domain"]["lo"]["q"], v["domain"]["hi"]["q"])
+            for v in payload["vars"]
+        }
+        assert ranges == {
+            "a": (1.0, 1.5), "b": (3.0, 3.5), "c": (5.0, 5.0), "total": (9.0, 9.5)
+        }
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {
+                "vars": [{"name": "x", "range": [0, 1]}, {"name": "y", "range": [0, 2]}],
+                "constraints": [{"kind": "leq", "args": "xy"}],
+            },
+            {"vars": [{"name": "x", "domain": {"lo": {"q": 0, "f": 1, "s": 0}}}]},
+            {"vars": [1]},
+            {"constraints": [["add"]]},
+        ],
+        ids=["args-not-a-list", "domain-without-hi", "var-not-an-object", "constraint-not-an-object"],
+    )
+    def test_malformed_model_exits_two(self, tmp_path, capsys, model):
+        code, payload = self._solve(tmp_path, model)
+        assert code == 2
+        assert payload is None
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_malformed_json_exits_two(self, tmp_path):
         model_path = tmp_path / "model.json"
         model_path.write_text("{not json")
@@ -240,6 +279,17 @@ class TestBench:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["rows"][0]["horizon"] == 3
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"horizon": 2, "demands": [5, 6], "x_min": None}, [1]],
+        ids=["null-x-min", "not-an-object"],
+    )
+    def test_malformed_instance_file_exits_two(self, tmp_path, capsys, obj):
+        instance = tmp_path / "inst.json"
+        instance.write_text(json.dumps(obj))
+        assert main(["bench", "--input", str(instance)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot load instance")
 
     def test_instance_file_reports_its_own_bounds(self, tmp_path):
         instance = tmp_path / "inst.json"

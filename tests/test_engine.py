@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -55,6 +56,11 @@ class TestNewVarAndPost:
             Constraint("xor", (0, 1))
         with pytest.raises(ValueError):
             Constraint("add", (0, 1))
+        # Only add takes more than three variables.
+        assert Constraint("add", (0, 1, 2, 3)).args == (0, 1, 2, 3)
+        for kind in ("sub", "mul", "div"):
+            with pytest.raises(ValueError):
+                Constraint(kind, (0, 1, 2, 3))
 
     def test_post_twice_idempotent_at_fixpoint(self):
         store, (x, y, z) = _store_with(
@@ -205,6 +211,61 @@ class TestTernary:
         assert store.propagate() == CONSISTENT
         assert store.domains[z].lo.q == pytest.approx(1.0)
         assert store.domains[z].hi.q == pytest.approx(4.0)
+
+
+class TestLinearSum:
+    def test_sub_runs_as_add(self):
+        # x - y = z narrows like z + y = x, in both directions.
+        store, (x, y, z) = _store_with(
+            convex_interval(0.0, 10.0), convex_interval(2.0, 3.0), convex_interval(4.0, 5.0)
+        )
+        store.post(Constraint("sub", (x, y, z)))
+        assert store.propagate() == CONSISTENT
+        assert store.domains[x] == convex_interval(6.0, 8.0)
+        assert store.domains[z] == convex_interval(4.0, 5.0)
+
+    def test_nary_add_matches_binary_chain(self, rng):
+        # One add over n terms against the same sum as a chain of binary adds
+        # with one accumulator per step, on mixed terms and a randomly
+        # tightened (possibly infeasible) total.  The quantile ranges are
+        # also checked against the closed-form projections of the sum.
+        for _ in range(600):
+            n = rng.randint(2, 8)
+            terms = [random_domain(rng) for _ in range(n)]
+            lo = sum(t.lo.q for t in terms)
+            hi = sum(t.hi.q for t in terms)
+            pad = 0.2 * (hi - lo) + 1.0
+            cut = sorted(rng.uniform(lo - pad, hi + pad) for _ in range(2))
+            z_lo, z_hi = lo, hi
+            nary, nary_ids = _store_with(*terms, (-1e4, 1e4))
+            nary.post(Constraint("add", tuple(nary_ids)))
+            chain, chain_ids = _store_with(*terms, (-1e4, 1e4))
+            acc = chain_ids[0]
+            for k in range(1, n):
+                out = chain_ids[n] if k == n - 1 else chain.new_var((-1e4, 1e4))
+                chain.post(Constraint("add", (acc, chain_ids[k], out)))
+                acc = out
+            if rng.random() < 0.7:
+                nary.tighten(nary_ids[n], tuple(cut))
+                chain.tighten(chain_ids[n], tuple(cut))
+                z_lo, z_hi = max(lo, cut[0]), min(hi, cut[1])
+            status = nary.propagate()
+            assert chain.propagate() == status
+            assert (status == FAILED) == (z_lo > z_hi)
+            if status == FAILED:
+                continue
+            expected = [
+                (max(t.lo.q, z_lo - (hi - t.hi.q)), min(t.hi.q, z_hi - (lo - t.lo.q)))
+                for t in terms
+            ] + [(z_lo, z_hi)]
+            for vid, (e_lo, e_hi) in zip(nary_ids, expected):
+                assert nary.domains[vid].lo.q == pytest.approx(e_lo, abs=1e-9)
+                assert nary.domains[vid].hi.q == pytest.approx(e_hi, abs=1e-9)
+            for a_id, b_id in zip(nary_ids, chain_ids):
+                a, b = nary.domains[a_id], chain.domains[b_id]
+                for pa, pb in ((a.lo, b.lo), (a.hi, b.hi)):
+                    for va, vb in ((pa.q, pb.q), (pa.f, pb.f), (pa.s, pb.s)):
+                        assert math.isclose(va, vb, rel_tol=0.0, abs_tol=1e-12)
 
 
 def _random_network(rng, n_vars=6, n_constraints=5):

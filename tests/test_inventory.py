@@ -40,7 +40,7 @@ from pboxcdf.pbox import (
     upper_at,
 )
 
-from conftest import random_envelope, random_scalar_instance
+from conftest import random_envelope, random_scalar_instance, strip_keys
 
 
 def scalar_instance(n, demands, a=10.0, h=1.0, v=2.0, i0=0.0, x_min=1.0, x_max=40.0):
@@ -304,13 +304,17 @@ class TestBuildModel:
             store, mv = build_model(inputs, schedule, order_sizes=sizes)
             assert store.status == CONSISTENT
             assert {c.kind for c in store.constraints} <= {"add", "sub", "mul"}
-            read = {vid for c in store.constraints for vid in c.args[:2]}
+            read = {vid for c in store.constraints for vid in c.args[:-1]}
             unread = [
                 store.names[vid]
                 for vid in range(len(store.domains))
                 if vid not in read and vid != mv.tc
             ]
             assert unread == [], (schedule, sizes)
+        # One supply sum per cycle; the order, demand, holding, purchase and
+        # total-cost sums; the conservation closure.
+        relaxed, _ = build_model(inputs, [None] * 7)
+        assert sum(c.kind == "add" for c in relaxed.constraints) == 7 + 6
 
     def test_every_domain_passes_dominance_after_propagation(self, rng):
         inst = default_instance(6, 13)
@@ -567,19 +571,11 @@ class TestInstanceIO:
             assert qs[4] == pytest.approx(mean + 2 * spread)
 
 
-def _strip(obj, keys=("timing", "wall_time_s")):
-    if isinstance(obj, dict):
-        return {k: _strip(v, keys) for k, v in obj.items() if k not in keys}
-    if isinstance(obj, list):
-        return [_strip(v, keys) for v in obj]
-    return obj
-
-
 class TestBenchmark:
     def test_same_seed_same_report(self):
         first = run_benchmark([5], seed=7, model="pbox")
         second = run_benchmark([5], seed=7, model="pbox")
-        assert _strip(first) == _strip(second)
+        assert strip_keys(first) == strip_keys(second)
 
     def test_containment_asserted_per_run(self):
         report = run_benchmark([6], seed=11, model="pbox")
@@ -615,5 +611,5 @@ class TestBenchmark:
         # round-trips floats exactly); counters and timings are left out.
         golden = Path(__file__).parent / "data" / f"bench_h7_h10_seed42_{model}.json"
         report = run_benchmark([7, 10], seed=42, model=model)
-        fields = _strip(report, ("timing", "wall_time_s", "alloc_counters", "stats"))
+        fields = strip_keys(report, ("timing", "wall_time_s", "alloc_counters", "stats"))
         assert fields == json.loads(golden.read_text())
