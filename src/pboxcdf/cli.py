@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -17,7 +16,6 @@ from .pbox import (
     empirical_cdf,
     envelope,
     load_observations_csv,
-    set_tolerance,
 )
 from .engine import FAILED, parse_model, solution_dict
 from .inventory import DEFAULT_X_MAX, InventoryInstance, run_benchmark
@@ -200,23 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    env_tol = os.environ.get("PBOX_TOLERANCE")
-    if env_tol is not None:
-        try:
-            set_tolerance(float(env_tol))
-        except ValueError as exc:
-            print(f"error: bad PBOX_TOLERANCE: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except DivisorStraddlesZero as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return args.func(args)
 
 
 if __name__ == "__main__":

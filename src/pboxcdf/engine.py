@@ -2,8 +2,8 @@
 
 Constraints register watch lists on their variables and sit in a FIFO wake
 queue.  A propagator re-enters the queue only when one of its variables moved
-by more than the global tolerance in any scalar component, so runs terminate
-at a stable fixpoint.  One n-ary ``add`` propagator also runs ``sub``.
+by more than the fixed absolute ``TOLERANCE`` in any scalar component, so runs
+terminate at a stable fixpoint.  One n-ary ``add`` propagator also runs ``sub``.
 """
 
 from __future__ import annotations
@@ -12,17 +12,18 @@ from collections import deque
 from dataclasses import dataclass
 
 from .pbox import (
+    TOLERANCE,
     DivisorStraddlesZero,
     Inconsistent,
     PboxInterval,
     anchor,
     convex_interval,
+    json_number,
     meet,
     point_mass,
     repair_dominance,
     tighter_lower,
     tighter_upper,
-    tolerance,
 )
 from .arith import add_bounds, checked, div_bounds, mul_bounds, slide, sub_bounds
 
@@ -148,14 +149,13 @@ class DomainStore:
         old = self.domains[vid]
         if new is old:
             return
-        tol = tolerance()
         if (
-            abs(new.lo.q - old.lo.q) <= tol
-            and abs(new.lo.f - old.lo.f) <= tol
-            and abs(new.lo.s - old.lo.s) <= tol
-            and abs(new.hi.q - old.hi.q) <= tol
-            and abs(new.hi.f - old.hi.f) <= tol
-            and abs(new.hi.s - old.hi.s) <= tol
+            abs(new.lo.q - old.lo.q) <= TOLERANCE
+            and abs(new.lo.f - old.lo.f) <= TOLERANCE
+            and abs(new.lo.s - old.lo.s) <= TOLERANCE
+            and abs(new.hi.q - old.hi.q) <= TOLERANCE
+            and abs(new.hi.f - old.hi.f) <= TOLERANCE
+            and abs(new.hi.s - old.hi.s) <= TOLERANCE
         ):
             return
         self.domains[vid] = new
@@ -222,7 +222,7 @@ class DomainStore:
 
         x_hi_q = min(dx.hi.q, dy.hi.q)
         if dx.lo.q > x_hi_q:
-            if dx.lo.q - x_hi_q > tolerance():
+            if dx.lo.q - x_hi_q > TOLERANCE:
                 raise Inconsistent(f"ordering wipes out {self.names[x]!r}")
             x_hi_q = dx.lo.q
         mid_x = 0.5 * (dx.lo.q + x_hi_q)
@@ -232,7 +232,7 @@ class DomainStore:
         dx = self.domains[x]
         y_lo_q = max(dy.lo.q, dx.lo.q)
         if y_lo_q > dy.hi.q:
-            if y_lo_q - dy.hi.q > tolerance():
+            if y_lo_q - dy.hi.q > TOLERANCE:
                 raise Inconsistent(f"ordering wipes out {self.names[y]!r}")
             y_lo_q = dy.hi.q
         mid_y = 0.5 * (y_lo_q + dy.hi.q)
@@ -349,9 +349,9 @@ def parse_model(obj: dict) -> tuple[DomainStore, list[str]]:
                 domain = PboxInterval.from_dict(spec["domain"])
             elif "range" in spec:
                 lo, hi = spec["range"]
-                domain = convex_interval(float(lo), float(hi))
+                domain = convex_interval(json_number(lo), json_number(hi))
             elif "value" in spec:
-                domain = point_mass(float(spec["value"]))
+                domain = point_mass(json_number(spec["value"]))
             else:
                 raise ValueError(f"variable {name!r} needs a domain, range or value")
         except (KeyError, TypeError) as exc:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .pbox import (
+    TOLERANCE,
     CdfPoint,
     Inconsistent,
     ObservationSet,
@@ -25,12 +26,12 @@ from .pbox import (
     convex_interval,
     empirical_cdf,
     envelope,
+    json_number,
     load_observations_csv,
     lower_at,
     point_mass,
     project,
     repair_dominance,
-    tolerance,
     upper_at,
 )
 from .arith import QuantileInterval, add_bounds, checked, mul_bounds, slide
@@ -100,11 +101,11 @@ class InventoryInstance:
     def from_dict(cls, obj: dict, base_dir: Path | None = None) -> "InventoryInstance":
         """An instance from its JSON form; a malformed one raises ``ValueError``."""
         try:
-            horizon = int(obj["horizon"])
+            horizon = json_number(obj["horizon"], int)
             if "demands" in obj:
                 demands = tuple(_spec_from_json(d, base_dir) for d in obj["demands"])
             elif "seed" in obj:
-                rng = random.Random(int(obj["seed"]) * 1_000_003 + horizon)
+                rng = random.Random(json_number(obj["seed"], int) * 1_000_003 + horizon)
                 demands = tuple(generate_demand_observations(horizon, rng))
             else:
                 raise ValueError("instance needs either 'demands' or 'seed'")
@@ -118,9 +119,9 @@ class InventoryInstance:
                 ),
                 unit_cost=_spec_from_json(obj.get("unit_cost", DEFAULT_UNIT_COST), base_dir),
                 demands=demands,
-                initial_stock=float(obj.get("initial_stock", 0.0)),
-                x_min=float(obj.get("x_min", 1.0)),
-                x_max=float(obj.get("x_max", DEFAULT_X_MAX)),
+                initial_stock=json_number(obj.get("initial_stock", 0.0)),
+                x_min=json_number(obj.get("x_min", 1.0)),
+                x_max=json_number(obj.get("x_max", DEFAULT_X_MAX)),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed instance: {exc!r}") from None
@@ -154,20 +155,19 @@ def _spec_to_json(spec):
 
 
 def _spec_from_json(obj, base_dir: Path | None = None):
-    if isinstance(obj, (int, float)):
-        return float(obj)
-    if isinstance(obj, dict):
-        if "domain" in obj:
-            return PboxInterval.from_dict(obj["domain"])
-        if "observations" in obj:
-            return ObservationSet.from_pairs(
-                (float(q), int(c)) for q, c in obj["observations"]
-            )
-        if "csv" in obj:
-            path = Path(obj["csv"])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            return load_observations_csv(path)
+    if not isinstance(obj, dict):
+        return json_number(obj)
+    if "domain" in obj:
+        return PboxInterval.from_dict(obj["domain"])
+    if "observations" in obj:
+        return ObservationSet.from_pairs(
+            (json_number(q), json_number(c, int)) for q, c in obj["observations"]
+        )
+    if "csv" in obj:
+        path = Path(obj["csv"])
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
+        return load_observations_csv(path)
     raise ValueError(f"cannot interpret quantity spec {obj!r}")
 
 
@@ -222,14 +222,6 @@ def model_inputs(inst: InventoryInstance, mode: str = "pbox") -> ModelInputs:
 # -- initial bindings for derived quantities ---------------------------------
 
 
-def _upper_complete(d: PboxInterval) -> bool:
-    return d.lo.f + d.lo.s * (d.hi.q - d.lo.q) >= 1.0 - tolerance()
-
-
-def _lower_complete(d: PboxInterval) -> bool:
-    return d.hi.f - d.hi.s * (d.hi.q - d.lo.q) <= tolerance()
-
-
 def _levelwise(f1: float, s1: float, f2: float, s2: float) -> tuple[float, float]:
     # Quantiles of the two bound lines added at equal cdf level: the joint
     # slope is the harmonic combination, the anchor level the slope-weighted
@@ -276,9 +268,9 @@ def combine_bindings(op: str, a: PboxInterval, b: PboxInterval) -> PboxInterval:
         for d, other in ((a, b), (b, a)):
             known = other.lo.q == other.hi.q
             lo_scale, hi_scale = (1.0, 1.0) if add else (other.lo.q, other.hi.q)
-            if lo_scale > 0.0 and (known or _upper_complete(d)):
+            if lo_scale > 0.0 and (known or upper_at(d.lo, d.hi.q) >= 1.0 - TOLERANCE):
                 uppers.append(CdfPoint(rz.lo, d.lo.f, d.lo.s / lo_scale))
-            if hi_scale > 0.0 and (known or _lower_complete(d)):
+            if hi_scale > 0.0 and (known or lower_at(d.hi, d.lo.q) <= TOLERANCE):
                 lowers.append(CdfPoint(rz.hi, d.hi.f, d.hi.s / hi_scale))
     if add and a.lo.s > 0.0 and b.lo.s > 0.0:
         uppers.append(CdfPoint(rz.lo, *_levelwise(a.lo.f, a.lo.s, b.lo.f, b.lo.s)))
@@ -392,7 +384,7 @@ def build_model(
 
         # Stock that rounds to a hair below zero still counts as empty.
         i_bind = combine_bindings("sub", b_bind, store.domains[d_t])
-        if i_bind.hi.q < -tolerance():
+        if i_bind.hi.q < -TOLERANCE:
             store.fail()
             return store, mv
         if i_bind.lo.q < 0.0:
@@ -436,7 +428,7 @@ def build_model(
     worst_total = sum(inputs.worst) - inst.initial_stock
     tx_dom = store.domains[orders]
     if worst_total > tx_dom.lo.q:
-        if worst_total > tx_dom.hi.q + tolerance():
+        if worst_total > tx_dom.hi.q + TOLERANCE:
             store.fail()
             return store, mv
         store.tighten(orders, (min(worst_total, tx_dom.hi.q), tx_dom.hi.q))
@@ -769,7 +761,7 @@ class _Searcher:
             while j >= 0 and store.status == CONSISTENT:
                 d = store.domains[mv.stock[j]]
                 if required > d.lo.q:
-                    if required > d.hi.q + tolerance():
+                    if required > d.hi.q + TOLERANCE:
                         store.fail()
                         break
                     store.tighten(mv.stock[j], (required, max(d.hi.q, required)))
@@ -816,7 +808,7 @@ class _Searcher:
         self.nodes += 1
         return not (
             self.incumbent is not None
-            and self._node_bound(store, mv, path) > self.incumbent[1] + tolerance()
+            and self._node_bound(store, mv, path) > self.incumbent[1] + TOLERANCE
         )
 
     def _dfs(self, store: DomainStore, mv: ModelVars, path: list[bool]) -> None:
@@ -898,23 +890,23 @@ def _containment_fields(inst: InventoryInstance, best: ScheduleReport) -> dict:
     """Evaluate the winning schedule under the convex representation and
     compare the total-cost quantile intervals."""
     convex = evaluate_schedule(inst, best.schedule, mode="convex")
-    tol = tolerance()
     out = {"convex_feasible": convex is not None}
     if convex is None:  # pragma: no cover - convex relaxation cannot be tighter
         out["hull_contained"] = False
         return out
     out["convex_tc_hull"] = convex.tc_hull.to_dict()
     out["hull_contained"] = (
-        convex.tc_hull.lo.q <= best.tc_hull.lo.q + tol
-        and best.tc_hull.hi.q <= convex.tc_hull.hi.q + tol
+        convex.tc_hull.lo.q <= best.tc_hull.lo.q + TOLERANCE
+        and best.tc_hull.hi.q <= convex.tc_hull.hi.q + TOLERANCE
     )
     out["resolved_contained"] = (
-        convex.tc.lo.q <= best.tc.lo.q + tol and best.tc.hi.q <= convex.tc.hi.q + tol
+        convex.tc.lo.q <= best.tc.lo.q + TOLERANCE
+        and best.tc.hi.q <= convex.tc.hi.q + TOLERANCE
     )
     mid = 0.5 * (best.tc.lo.q + best.tc.hi.q)
     f_low, f_up = project(best.tc, mid)
     out["tc_mid_cdf_bounds"] = [f_low, f_up]
-    out["cdf_tighter_than_convex"] = f_low > tol and f_up < 1.0 - tol
+    out["cdf_tighter_than_convex"] = f_low > TOLERANCE and f_up < 1.0 - TOLERANCE
     return out
 
 

@@ -26,19 +26,15 @@ class DivisorStraddlesZero(PboxError):
     """Interval division with a divisor range containing zero."""
 
 
-_tolerance = 1e-9
+# Absolute tolerance of every invariant comparison.
+TOLERANCE = 1e-9
 
 
-def tolerance() -> float:
-    """Absolute tolerance used by all invariant comparisons."""
-    return _tolerance
-
-
-def set_tolerance(value: float) -> None:
-    global _tolerance
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"tolerance must be a positive finite float, got {value!r}")
-    _tolerance = value
+def json_number(value, kind=float):
+    """A JSON number read as ``kind``; ints pass as floats, bools and strings never."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise ValueError(f"expected a number of type {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +62,7 @@ class CdfPoint:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CdfPoint":
-        return cls(float(obj["q"]), float(obj["f"]), float(obj["s"]))
+        return cls(json_number(obj["q"]), json_number(obj["f"]), json_number(obj["s"]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,7 +130,7 @@ def tighter_upper(a: CdfPoint, b: CdfPoint, x: float) -> CdfPoint:
     smaller slope."""
     va = upper_at(a, x)
     vb = upper_at(b, x)
-    if abs(va - vb) <= _tolerance:
+    if abs(va - vb) <= TOLERANCE:
         return a if a.s <= b.s else b
     return a if va < vb else b
 
@@ -144,7 +140,7 @@ def tighter_lower(a: CdfPoint, b: CdfPoint, x: float) -> CdfPoint:
     smaller slope."""
     va = lower_at(a, x)
     vb = lower_at(b, x)
-    if abs(va - vb) <= _tolerance:
+    if abs(va - vb) <= TOLERANCE:
         return a if a.s <= b.s else b
     return a if va > vb else b
 
@@ -166,7 +162,7 @@ def project(interval: PboxInterval, x: float) -> tuple[float, float]:
     excursions past the quantile bounds clamp to the nearest bound.
     """
     if not interval.lo.q <= x <= interval.hi.q:
-        if not interval.lo.q - _tolerance <= x <= interval.hi.q + _tolerance:
+        if not interval.lo.q - TOLERANCE <= x <= interval.hi.q + TOLERANCE:
             raise ValueError(
                 f"quantile {x!r} outside domain [{interval.lo.q!r}, {interval.hi.q!r}]"
             )
@@ -277,10 +273,10 @@ def check_dominance(interval: PboxInterval) -> bool:
     # clipping cannot create a violation; the gap between the raw lines is
     # linear, so it is smallest at one of the two quantile bounds.
     lo, hi = interval.lo, interval.hi
-    tol = _tolerance
     width = hi.q - lo.q
     return not (
-        lo.f < hi.f - hi.s * width - tol or lo.f + lo.s * width < hi.f - tol
+        lo.f < hi.f - hi.s * width - TOLERANCE
+        or lo.f + lo.s * width < hi.f - TOLERANCE
     )
 
 
@@ -301,8 +297,7 @@ def repair_dominance(interval: PboxInterval) -> PboxInterval:
             f"parallel cdf bounds conflict everywhere in [{lo.q!r}, {hi.q!r}]"
         )
     x_star = (hi.f - hi.s * hi.q - lo.f + lo.s * lo.q) / den
-    tol = _tolerance
-    if not (lo.q - tol <= x_star <= hi.q + tol):
+    if not (lo.q - TOLERANCE <= x_star <= hi.q + TOLERANCE):
         raise Inconsistent(
             f"cdf bounds intersect at {x_star!r}, outside [{lo.q!r}, {hi.q!r}]"
         )
@@ -328,7 +323,7 @@ def intersect_quantiles(
     lo_q = max(a_lo, b_lo)
     hi_q = min(a_hi, b_hi)
     if lo_q > hi_q:
-        if lo_q - hi_q > _tolerance:
+        if lo_q - hi_q > TOLERANCE:
             raise Inconsistent(
                 f"quantile ranges [{a_lo!r}, {a_hi!r}] and [{b_lo!r}, {b_hi!r}] "
                 "are disjoint"

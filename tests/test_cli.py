@@ -11,8 +11,6 @@ from pboxcdf.pbox import (
     empirical_cdf,
     envelope,
     load_observations_csv,
-    set_tolerance,
-    tolerance,
 )
 
 OBS_CSV = "quantile,count\n5.17,4\n5.3,5\n5.45,6\n5.55,6\n5.7,5\n5.9,5\n6.1,4\n6.2,3\n6.36,2\n"
@@ -26,6 +24,26 @@ def obs_csv(tmp_path):
 
 
 class TestIngest:
+    def test_tolerance_variable_is_ignored(self, obs_csv, tmp_path):
+        # The comparison tolerance is fixed; the old PBOX_TOLERANCE setting
+        # is neither read nor rejected.
+        outs = []
+        for value in (None, "abc"):
+            env = {k: v for k, v in os.environ.items() if k != "PBOX_TOLERANCE"}
+            if value is not None:
+                env["PBOX_TOLERANCE"] = value
+            out = tmp_path / f"domain-{value}.json"
+            cmd = ["ingest", "--input", str(obs_csv), "--out", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "pboxcdf.cli", *cmd],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_writes_domain_json(self, obs_csv, tmp_path, capsys):
         out = tmp_path / "domain.json"
         code = main(["ingest", "--input", str(obs_csv), "--out", str(out)])
@@ -197,8 +215,29 @@ class TestSolve:
             {"vars": [{"name": "x", "domain": {"lo": {"q": 0, "f": 1, "s": 0}}}]},
             {"vars": [1]},
             {"constraints": [["add"]]},
+            {"vars": [{"name": "x", "value": True}]},
+            {"vars": [{"name": "x", "range": [0, "5"]}]},
+            {
+                "vars": [
+                    {
+                        "name": "x",
+                        "domain": {
+                            "lo": {"q": "0", "f": 1, "s": 0},
+                            "hi": {"q": 1, "f": 0, "s": 0},
+                        },
+                    }
+                ]
+            },
         ],
-        ids=["args-not-a-list", "domain-without-hi", "var-not-an-object", "constraint-not-an-object"],
+        ids=[
+            "args-not-a-list",
+            "domain-without-hi",
+            "var-not-an-object",
+            "constraint-not-an-object",
+            "bool-value",
+            "string-range-bound",
+            "string-quantile",
+        ],
     )
     def test_malformed_model_exits_two(self, tmp_path, capsys, model):
         code, payload = self._solve(tmp_path, model)
@@ -282,8 +321,24 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "obj",
-        [{"horizon": 2, "demands": [5, 6], "x_min": None}, [1]],
-        ids=["null-x-min", "not-an-object"],
+        [
+            {"horizon": 2, "demands": [5, 6], "x_min": None},
+            [1],
+            {"horizon": 2.7, "demands": [5, 6]},
+            {"horizon": True, "demands": [5]},
+            {"horizon": "3", "seed": 1},
+            {"horizon": 2, "seed": 1.5},
+            {"horizon": 2, "demands": [5, True]},
+        ],
+        ids=[
+            "null-x-min",
+            "not-an-object",
+            "fractional-horizon",
+            "bool-horizon",
+            "string-horizon",
+            "fractional-seed",
+            "bool-demand",
+        ],
     )
     def test_malformed_instance_file_exits_two(self, tmp_path, capsys, obj):
         instance = tmp_path / "inst.json"
@@ -357,40 +412,3 @@ class TestBench:
             return obj
 
         assert strip(outs[0]) == strip(outs[1])
-
-
-class TestEnvironmentTolerance:
-    def test_tolerance_override_via_env(self, obs_csv, tmp_path, monkeypatch):
-        monkeypatch.setenv("PBOX_TOLERANCE", "1e-6")
-        out = tmp_path / "domain.json"
-        try:
-            assert main(["ingest", "--input", str(obs_csv), "--out", str(out)]) == 0
-            assert tolerance() == 1e-6
-        finally:
-            set_tolerance(1e-9)
-
-    @pytest.mark.parametrize("value", ["-1", "abc", "nan"])
-    def test_bad_tolerance_rejected(self, obs_csv, value):
-        env = dict(os.environ)
-        env["PBOX_TOLERANCE"] = value
-        proc = subprocess.run(
-            [sys.executable, "-m", "pboxcdf.cli", "ingest", "--input", str(obs_csv)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
-        assert "PBOX_TOLERANCE" in proc.stderr
-
-    def test_library_import_ignores_env(self):
-        # The variable is a CLI setting; library callers use set_tolerance.
-        env = dict(os.environ)
-        env["PBOX_TOLERANCE"] = "abc"
-        proc = subprocess.run(
-            [sys.executable, "-c", "import pboxcdf; print(pboxcdf.tolerance())"],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert float(proc.stdout) == 1e-9

@@ -26,6 +26,7 @@ from pboxcdf.inventory import (
     search,
 )
 from pboxcdf.pbox import (
+    TOLERANCE,
     CdfPoint,
     Inconsistent,
     ObservationSet,
@@ -36,7 +37,6 @@ from pboxcdf.pbox import (
     point_mass,
     project,
     repair_dominance,
-    tolerance,
     upper_at,
 )
 
@@ -61,10 +61,10 @@ def _three_branch_combine_bindings(op, a, b):
     operation, subtraction included."""
 
     def upper_complete(d):
-        return d.lo.f + d.lo.s * (d.hi.q - d.lo.q) >= 1.0 - tolerance()
+        return d.lo.f + d.lo.s * (d.hi.q - d.lo.q) >= 1.0 - TOLERANCE
 
     def lower_complete(d):
-        return d.hi.f - d.hi.s * (d.hi.q - d.lo.q) <= tolerance()
+        return d.hi.f - d.hi.s * (d.hi.q - d.lo.q) <= TOLERANCE
 
     def levelwise(f1, s1, f2, s2):
         s = 1.0 / (1.0 / s1 + 1.0 / s2)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pboxcdf.pbox import (
+    TOLERANCE,
     CdfPoint,
     Inconsistent,
     ObservationSet,
@@ -22,7 +23,6 @@ from pboxcdf.pbox import (
     project,
     repair_dominance,
     slope_between,
-    tolerance,
     upper_at,
 )
 
@@ -258,7 +258,7 @@ def _dominance_by_scan(interval: PboxInterval) -> bool:
     if den != 0.0:
         xs.append((hi.f - hi.s * hi.q - lo.f + lo.s * lo.q) / den)
     return not any(
-        lo.q <= x <= hi.q and upper_at(lo, x) < lower_at(hi, x) - tolerance()
+        lo.q <= x <= hi.q and upper_at(lo, x) < lower_at(hi, x) - TOLERANCE
         for x in xs
     )
 
