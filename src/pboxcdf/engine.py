@@ -3,7 +3,7 @@
 Constraints register watch lists on their variables and sit in a FIFO wake
 queue.  A propagator re-enters the queue only when one of its variables moved
 by more than the fixed absolute ``TOLERANCE`` in any scalar component, so runs
-terminate at a stable fixpoint.  One n-ary ``add`` propagator also runs ``sub``.
+terminate at a stable fixpoint.  One n-ary ``add`` also runs ``sub``; ``mul`` runs ``div``.
 """
 
 from __future__ import annotations
@@ -142,8 +142,6 @@ class DomainStore:
         """Mark the store inconsistent and drop all pending wakes."""
         self.status = FAILED
         self._queue.clear()
-        for i in range(len(self._queued)):
-            self._queued[i] = False
 
     def _update(self, vid: int, new: PboxInterval) -> None:
         old = self.domains[vid]
@@ -292,22 +290,15 @@ class DomainStore:
             self._slide_to(y, div_bounds(dz.lo.q, dz.hi.q, dx.lo.q, dx.hi.q))
 
     def _prop_div(self, x: int, y: int, z: int) -> None:
-        # The forward projection is a hard error on a zero-straddling divisor;
-        # the reverse one just skips, which is sound but weaker.
-        d = self.domains
-        dx, dy = d[x], d[y]
-        self._slide_to(z, div_bounds(dx.lo.q, dx.hi.q, dy.lo.q, dy.hi.q))
-        dz, dy = d[z], d[y]
-        self._slide_to(x, mul_bounds(dz.lo.q, dz.hi.q, dy.lo.q, dy.hi.q))
-        dz = d[z]
-        if dz.lo.q <= 0.0 <= dz.hi.q:
-            self.stats["skipped_div_projections"] += 1
-        else:
-            dx = d[x]
-            self._slide_to(y, div_bounds(dx.lo.q, dx.hi.q, dz.lo.q, dz.hi.q))
+        # A zero-straddling divisor is a hard error, raised before any
+        # projection; otherwise x / y = z runs as the product z * y = x.
+        dy = self.domains[y]
+        if dy.lo.q <= 0.0 <= dy.hi.q:
+            raise DivisorStraddlesZero(f"divisor range [{dy.lo.q!r}, {dy.hi.q!r}] contains zero")
+        self._prop_mul(z, y, x)
 
 
-# Constraint kind -> (arity, propagator); ``x - y = z`` runs as ``z + y = x``.
+# Kind -> (arity, propagator); x - y = z runs as z + y = x, x / y = z as z * y = x.
 _KINDS = {
     "eq": (2, DomainStore._prop_eq),
     "leq": (2, DomainStore._prop_leq),
@@ -353,9 +344,11 @@ def parse_model(obj: dict) -> tuple[DomainStore, list[str]]:
             elif "value" in spec:
                 domain = point_mass(json_number(spec["value"]))
             else:
-                raise ValueError(f"variable {name!r} needs a domain, range or value")
+                raise ValueError("needs a domain, range or value")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"variable {name!r} has a malformed domain: {exc!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"variable {name!r}: {exc}") from None
         ids[name] = store.new_var(domain, name=name)
         order.append(name)
     for spec in con_specs:

@@ -101,28 +101,30 @@ class InventoryInstance:
     def from_dict(cls, obj: dict, base_dir: Path | None = None) -> "InventoryInstance":
         """An instance from its JSON form; a malformed one raises ``ValueError``."""
         try:
-            horizon = json_number(obj["horizon"], int)
+            horizon = _named("horizon", json_number, obj["horizon"], int)
             if "demands" in obj:
-                demands = tuple(_spec_from_json(d, base_dir) for d in obj["demands"])
+                demands = tuple(
+                    _named(f"demands[{i}]", _spec_from_json, d, base_dir)
+                    for i, d in enumerate(obj["demands"])
+                )
             elif "seed" in obj:
-                rng = random.Random(json_number(obj["seed"], int) * 1_000_003 + horizon)
+                seed = _named("seed", json_number, obj["seed"], int)
+                rng = random.Random(seed * 1_000_003 + horizon)
                 demands = tuple(generate_demand_observations(horizon, rng))
             else:
                 raise ValueError("instance needs either 'demands' or 'seed'")
-            return cls(
-                horizon=horizon,
-                ordering_cost=_spec_from_json(
-                    obj.get("ordering_cost", DEFAULT_ORDERING_COST), base_dir
-                ),
-                holding_cost=_spec_from_json(
-                    obj.get("holding_cost", DEFAULT_HOLDING_COST), base_dir
-                ),
-                unit_cost=_spec_from_json(obj.get("unit_cost", DEFAULT_UNIT_COST), base_dir),
-                demands=demands,
-                initial_stock=json_number(obj.get("initial_stock", 0.0)),
-                x_min=json_number(obj.get("x_min", 1.0)),
-                x_max=json_number(obj.get("x_max", DEFAULT_X_MAX)),
-            )
+            fields = {
+                key: _named(key, read, obj.get(key, default), *args)
+                for key, read, default, *args in (
+                    ("ordering_cost", _spec_from_json, DEFAULT_ORDERING_COST, base_dir),
+                    ("holding_cost", _spec_from_json, DEFAULT_HOLDING_COST, base_dir),
+                    ("unit_cost", _spec_from_json, DEFAULT_UNIT_COST, base_dir),
+                    ("initial_stock", json_number, 0.0),
+                    ("x_min", json_number, 1.0),
+                    ("x_max", json_number, DEFAULT_X_MAX),
+                )
+            }
+            return cls(horizon=horizon, demands=demands, **fields)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed instance: {exc!r}") from None
 
@@ -142,6 +144,14 @@ class InventoryInstance:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
         return cls.from_dict(obj, base_dir=path.parent)
+
+
+def _named(label: str, read, *args):
+    # ``read(*args)``, with ``label`` naming the field in a ValueError.
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None
 
 
 def _spec_to_json(spec):
@@ -319,6 +329,17 @@ def _post_sum(store: DomainStore, terms: list[int], name: str) -> int:
     return total
 
 
+def _cycle_domains(inputs: ModelInputs, decided) -> tuple[PboxInterval, PboxInterval]:
+    """Order and ordering-cost domains of a cycle: a true flag orders in [x_min,
+    x_max] at the ordering cost, a false one nothing, None leaves both open."""
+    inst, cost = inputs.inst, inputs.ordering_cost
+    if decided is None:
+        return convex_interval(0.0, inst.x_max), convex_interval(0.0, cost.hi.q)
+    if decided:
+        return convex_interval(inst.x_min, inst.x_max), cost
+    return point_mass(0.0), point_mass(0.0)
+
+
 def build_model(
     inputs: ModelInputs, schedule, order_sizes=None
 ) -> tuple[DomainStore, ModelVars]:
@@ -341,11 +362,8 @@ def build_model(
     store = DomainStore()
     mv = ModelVars()
 
-    a_bind = inputs.ordering_cost
-    h_bind = inputs.holding_cost
-    v_bind = inputs.unit_cost
-    hvar = store.new_var(h_bind, name="h")
-    vvar = store.new_var(v_bind, name="v")
+    hvar = store.new_var(inputs.holding_cost, name="h")
+    vvar = store.new_var(inputs.unit_cost, name="v")
     i0var = store.new_var(point_mass(inst.initial_stock), name="stock0")
 
     holds: list[int] = []
@@ -356,20 +374,9 @@ def build_model(
         d_t = store.new_var(inputs.demands[t], name=f"demand{cyc}")
         mv.demand.append(d_t)
 
-        decided = schedule[t]
-        if decided is True:
-            x_dom = (
-                point_mass(order_sizes[t])
-                if order_sizes is not None
-                else convex_interval(inst.x_min, inst.x_max)
-            )
-            a_dom = a_bind
-        elif decided is False:
-            x_dom = point_mass(0.0)
-            a_dom = point_mass(0.0)
-        else:
-            x_dom = convex_interval(0.0, inst.x_max)
-            a_dom = convex_interval(0.0, a_bind.hi.q)
+        x_dom, a_dom = _cycle_domains(inputs, schedule[t])
+        if order_sizes is not None and schedule[t]:
+            x_dom = point_mass(order_sizes[t])
         x_t = store.new_var(x_dom, name=f"order{cyc}")
         a_t = store.new_var(a_dom, name=f"ordering_cost{cyc}")
         mv.order.append(x_t)
@@ -394,12 +401,12 @@ def build_model(
         mv.stock.append(i_t)
 
         hold_t = store.new_var(
-            combine_bindings("mul", h_bind, i_bind), name=f"holding_cost{cyc}"
+            combine_bindings("mul", inputs.holding_cost, i_bind), name=f"holding_cost{cyc}"
         )
         store.post(Constraint("mul", (hvar, i_t, hold_t)))
         holds.append(hold_t)
         buy_t = store.new_var(
-            combine_bindings("mul", v_bind, store.domains[x_t]),
+            combine_bindings("mul", inputs.unit_cost, store.domains[x_t]),
             name=f"purchase_cost{cyc}",
         )
         store.post(Constraint("mul", (vvar, x_t, buy_t)))
@@ -516,9 +523,9 @@ def robust_order_sizes(inputs: ModelInputs, schedule) -> list[float] | None:
     return alloc
 
 
-def _resolve(inputs: ModelInputs, schedule):
-    """Propagated network of a decided schedule with its orders pinned to the
-    cheapest covering sizes, as ``(store, vars)``; None when the caps cannot
+def _resolve(inputs: ModelInputs, schedule) -> dict | None:
+    """The report fields of a decided schedule's propagated network, with its
+    orders pinned to the cheapest covering sizes; None when the caps cannot
     cover worst-case demand or the network is inconsistent."""
     sizes = robust_order_sizes(inputs, schedule)
     if sizes is None:
@@ -526,25 +533,14 @@ def _resolve(inputs: ModelInputs, schedule):
     store, mv = build_model(inputs, schedule, order_sizes=sizes)
     if store.propagate() == FAILED:
         return None
-    return store, mv
-
-
-def _resolved_fields(store: DomainStore, mv: ModelVars) -> dict:
-    """The report fields a resolved network fixes, without the store."""
-    stats = dict(store.stats)
-    stats["labeling"] = "robust"
+    d = store.domains
     return {
-        "tc": store.domains[mv.tc],
-        "holding": store.domains[mv.holding],
+        "tc": d[mv.tc],
+        "holding": d[mv.holding],
         "cycles": tuple(
-            CycleDomains(
-                order=store.domains[mv.order[t]],
-                stock=store.domains[mv.stock[t]],
-                demand=store.domains[mv.demand[t]],
-            )
-            for t in range(len(mv.order))
+            CycleDomains(d[x], d[i], d[w]) for x, i, w in zip(mv.order, mv.stock, mv.demand)
         ),
-        "stats": stats,
+        "stats": {**store.stats, "labeling": "robust"},
     }
 
 
@@ -581,7 +577,7 @@ def evaluate_schedule(
     resolved = _resolve(inputs, schedule)
     if resolved is None:
         return None
-    return _report(inputs, schedule, _resolved_fields(*resolved), started)
+    return _report(inputs, schedule, resolved, started)
 
 
 # -- search -------------------------------------------------------------------
@@ -629,7 +625,6 @@ class _Searcher:
         inst = inputs.inst
         self.inputs = inputs
         self.inst = inst
-        self.a_bind = inputs.ordering_cost
         self.h_lo = inputs.holding_cost.lo.q
         self.worst = inputs.worst
         self.rest_worst = [0.0] * (inst.horizon + 1)
@@ -639,11 +634,9 @@ class _Searcher:
         self.nodes = 0
         self.clones = 0
         self.domain_writes = 0
-        # The best scored leaf as (schedule, tc.lo.q) and its resolved report
-        # fields.
+        # The best scored leaf as (schedule, tc.lo.q, resolved report fields).
         self.incumbent = None
-        self.incumbent_fields: dict | None = None
-        # The greedy seed's scored leaf, so its leaf is not scored twice.
+        # The greedy seed's schedule, scored before the DFS reaches it.
         self.seed = None
 
     def _min_future_overhead(self) -> list[float]:
@@ -651,7 +644,7 @@ class _Searcher:
         # worst-case demand of cycles i.. with no entry stock; the purchase
         # part is excluded since the total-order floor already prices it.
         n = self.inst.horizon
-        a_lo = self.a_bind.lo.q
+        a_lo = self.inputs.ordering_cost.lo.q
         h_lo = self.h_lo
         dp = [math.inf] * (n + 1)
         dp[n] = 0.0
@@ -670,7 +663,7 @@ class _Searcher:
                     dp[i] = cand
         return dp
 
-    def _greedy_schedule(self) -> list[bool] | None:
+    def _greedy_schedule(self) -> tuple[bool, ...] | None:
         # Densest span packing: order as rarely as the caps allow.
         schedule = [False] * self.inst.horizon
         stock = self.inst.initial_stock
@@ -689,33 +682,28 @@ class _Searcher:
             room = self.inst.x_max - need
             if room < 0.0:
                 return None
-        return schedule
+        return tuple(schedule)
 
-    def _score(self, schedule: tuple[bool, ...]) -> tuple[tuple[bool, ...], float] | None:
+    def _score(self, schedule: tuple[bool, ...]) -> None:
         # A leaf costs one pinned build and propagation: once the caps cover
         # worst-case demand, the covering sizes are a scenario of the relaxed
         # network, so that network cannot fail where the pinned one holds.
-        if self.seed is not None and self.seed[0] == schedule:
-            entry = self.seed
-        else:
-            resolved = _resolve(self.inputs, schedule)
-            if resolved is None:
-                return None
-            store, mv = resolved
-            entry = (schedule, store.domains[mv.tc].lo.q)
-        key = _schedule_key(entry[1], schedule)
+        # The seed is skipped: it is the incumbent or was beaten already.
+        if schedule == self.seed:
+            return
+        fields = _resolve(self.inputs, schedule)
+        if fields is None:
+            return
+        tc_lo = fields["tc"].lo.q
         best = self.incumbent
-        if best is None or key < _schedule_key(best[1], best[0]):
-            # Only a freshly resolved leaf can improve: the seed's entry is
-            # the incumbent or was beaten already when the DFS reaches it.
-            self.incumbent = entry
-            self.incumbent_fields = _resolved_fields(store, mv)
-        return entry
+        if best is None or _schedule_key(tc_lo, schedule) < _schedule_key(best[1], best[0]):
+            self.incumbent = (schedule, tc_lo, fields)
 
     def _seed_incumbent(self) -> None:
         schedule = self._greedy_schedule()
         if schedule is not None:
-            self.seed = self._score(tuple(schedule))
+            self._score(schedule)
+            self.seed = schedule
 
     def run(self) -> None:
         store, mv = build_model(self.inputs, [None] * self.inst.horizon)
@@ -731,7 +719,7 @@ class _Searcher:
         """The search's counters and the winner's report."""
         best = None
         if self.incumbent is not None:
-            best = _report(self.inputs, self.incumbent[0], self.incumbent_fields, started)
+            best = _report(self.inputs, self.incumbent[0], self.incumbent[2], started)
         return SearchResult(
             status="optimal" if self.incumbent is not None else "infeasible",
             best=best,
@@ -745,14 +733,10 @@ class _Searcher:
         self, store: DomainStore, mv: ModelVars, t: int, on: bool, path: list[bool]
     ) -> str:
         writes_before = store.stats["prunes"]
-        if on:
-            store.tighten(
-                mv.order[t], convex_interval(self.inst.x_min, self.inst.x_max)
-            )
-            store.tighten(mv.order_cost[t], self.a_bind)
-        else:
-            store.tighten(mv.order[t], 0.0)
-            store.tighten(mv.order_cost[t], 0.0)
+        x_dom, a_dom = _cycle_domains(self.inputs, on)
+        store.tighten(mv.order[t], x_dom)
+        store.tighten(mv.order_cost[t], a_dom)
+        if not on:
             # Orders must meet demand up to the next replenishment, so the
             # stock entering a no-order run covers the run's worst case.
             # This is what prices consolidated holding into the bound.
@@ -760,10 +744,8 @@ class _Searcher:
             j = t - 1
             while j >= 0 and store.status == CONSISTENT:
                 d = store.domains[mv.stock[j]]
+                # A required stock above the range's top fails the meet.
                 if required > d.lo.q:
-                    if required > d.hi.q + TOLERANCE:
-                        store.fail()
-                        break
                     store.tighten(mv.stock[j], (required, max(d.hi.q, required)))
                 if j >= len(path) or path[j]:
                     break

@@ -206,28 +206,43 @@ class TestSolve:
         }
 
     @pytest.mark.parametrize(
-        "model",
+        "model, message",
         [
-            {
-                "vars": [{"name": "x", "range": [0, 1]}, {"name": "y", "range": [0, 2]}],
-                "constraints": [{"kind": "leq", "args": "xy"}],
-            },
-            {"vars": [{"name": "x", "domain": {"lo": {"q": 0, "f": 1, "s": 0}}}]},
-            {"vars": [1]},
-            {"constraints": [["add"]]},
-            {"vars": [{"name": "x", "value": True}]},
-            {"vars": [{"name": "x", "range": [0, "5"]}]},
-            {
-                "vars": [
-                    {
-                        "name": "x",
-                        "domain": {
-                            "lo": {"q": "0", "f": 1, "s": 0},
-                            "hi": {"q": 1, "f": 0, "s": 0},
-                        },
-                    }
-                ]
-            },
+            (
+                {
+                    "vars": [{"name": "x", "range": [0, 1]}, {"name": "y", "range": [0, 2]}],
+                    "constraints": [{"kind": "leq", "args": "xy"}],
+                },
+                "constraint must be an object with a list of args",
+            ),
+            (
+                {"vars": [{"name": "x", "domain": {"lo": {"q": 0, "f": 1, "s": 0}}}]},
+                "variable 'x' has a malformed domain",
+            ),
+            ({"vars": [1]}, "variable must be an object"),
+            ({"constraints": [["add"]]}, "constraint must be an object"),
+            (
+                {"vars": [{"name": "x", "value": True}]},
+                "variable 'x': expected a number of type float, got True",
+            ),
+            (
+                {"vars": [{"name": "x", "range": [0, "5"]}]},
+                "variable 'x': expected a number of type float, got '5'",
+            ),
+            (
+                {
+                    "vars": [
+                        {
+                            "name": "x",
+                            "domain": {
+                                "lo": {"q": "0", "f": 1, "s": 0},
+                                "hi": {"q": 1, "f": 0, "s": 0},
+                            },
+                        }
+                    ]
+                },
+                "variable 'x': expected a number of type float, got '0'",
+            ),
         ],
         ids=[
             "args-not-a-list",
@@ -239,11 +254,13 @@ class TestSolve:
             "string-quantile",
         ],
     )
-    def test_malformed_model_exits_two(self, tmp_path, capsys, model):
+    def test_malformed_model_exits_two(self, tmp_path, capsys, model, message):
         code, payload = self._solve(tmp_path, model)
         assert code == 2
         assert payload is None
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
 
     def test_malformed_json_exits_two(self, tmp_path):
         model_path = tmp_path / "model.json"
@@ -320,15 +337,27 @@ class TestBench:
         assert report["rows"][0]["horizon"] == 3
 
     @pytest.mark.parametrize(
-        "obj",
+        "obj, message",
         [
-            {"horizon": 2, "demands": [5, 6], "x_min": None},
-            [1],
-            {"horizon": 2.7, "demands": [5, 6]},
-            {"horizon": True, "demands": [5]},
-            {"horizon": "3", "seed": 1},
-            {"horizon": 2, "seed": 1.5},
-            {"horizon": 2, "demands": [5, True]},
+            (
+                {"horizon": 2, "demands": [5, 6], "x_min": None},
+                "x_min: expected a number of type float, got None",
+            ),
+            ([1], "malformed instance"),
+            (
+                {"horizon": 2.7, "demands": [5, 6]},
+                "horizon: expected a number of type int, got 2.7",
+            ),
+            (
+                {"horizon": True, "demands": [5]},
+                "horizon: expected a number of type int, got True",
+            ),
+            ({"horizon": "3", "seed": 1}, "horizon: expected a number of type int, got '3'"),
+            ({"horizon": 2, "seed": 1.5}, "seed: expected a number of type int, got 1.5"),
+            (
+                {"horizon": 2, "demands": [5, True]},
+                "demands[1]: expected a number of type float, got True",
+            ),
         ],
         ids=[
             "null-x-min",
@@ -340,11 +369,13 @@ class TestBench:
             "bool-demand",
         ],
     )
-    def test_malformed_instance_file_exits_two(self, tmp_path, capsys, obj):
+    def test_malformed_instance_file_exits_two(self, tmp_path, capsys, obj, message):
         instance = tmp_path / "inst.json"
         instance.write_text(json.dumps(obj))
         assert main(["bench", "--input", str(instance)]) == 2
-        assert capsys.readouterr().err.startswith("error: cannot load instance")
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load instance")
+        assert message in err
 
     def test_instance_file_reports_its_own_bounds(self, tmp_path):
         instance = tmp_path / "inst.json"

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from pboxcdf import engine
+from pboxcdf.arith import add_bounds, div_bounds, mul_bounds, sub_bounds
 from pboxcdf.engine import (
     CONSISTENT,
     FAILED,
@@ -12,6 +14,7 @@ from pboxcdf.engine import (
     solution_dict,
 )
 from pboxcdf.pbox import (
+    TOLERANCE,
     CdfPoint,
     DivisorStraddlesZero,
     PboxInterval,
@@ -144,6 +147,71 @@ class TestEquality:
         assert store.propagate() == FAILED
 
 
+def _three_step_div(store, x, y, z):
+    """The former ``div`` propagator, kept as a reference: z, then x, then y,
+    with its own zero checks."""
+    d = store.domains
+    dx, dy = d[x], d[y]
+    store._slide_to(z, div_bounds(dx.lo.q, dx.hi.q, dy.lo.q, dy.hi.q))
+    dz, dy = d[z], d[y]
+    store._slide_to(x, mul_bounds(dz.lo.q, dz.hi.q, dy.lo.q, dy.hi.q))
+    dz = d[z]
+    if dz.lo.q <= 0.0 <= dz.hi.q:
+        store.stats["skipped_div_projections"] += 1
+    else:
+        dx = d[x]
+        store._slide_to(y, div_bounds(dx.lo.q, dx.hi.q, dz.lo.q, dz.hi.q))
+
+
+_FORWARD = {"add": add_bounds, "sub": sub_bounds, "mul": mul_bounds, "div": div_bounds}
+
+
+def _div_network(rng):
+    """Domains and constraints of a random net rich in ``div``.
+
+    Half the inputs are shifted clear of zero, so divisors and quotients
+    straddle zero in some nets and exclude it in others.  Each derived
+    variable covers its forward range, widened or cut by up to 30%, as a
+    convex range or a stretched envelope; up to two more constraints between
+    existing variables close cycles.
+    """
+    domains = []
+    for _ in range(rng.randint(2, 4)):
+        d = random_domain(rng)
+        if rng.random() < 0.5:
+            shift = rng.choice([-1.0, 1.0]) * (abs(d.lo.q) + abs(d.hi.q) + rng.uniform(0.5, 50.0))
+            d = PboxInterval(
+                CdfPoint(d.lo.q + shift, d.lo.f, d.lo.s), CdfPoint(d.hi.q + shift, d.hi.f, d.hi.s)
+            )
+        domains.append(d)
+    posted = []
+    for _ in range(rng.randint(2, 5)):
+        kind = rng.choice(["div", "div", "add", "sub", "mul"])
+        a, b = rng.sample(range(len(domains)), 2)
+        da, db = domains[a], domains[b]
+        try:
+            lo, hi = _FORWARD[kind](da.lo.q, da.hi.q, db.lo.q, db.hi.q)
+        except DivisorStraddlesZero:
+            lo, hi = -1e3, 1e3
+        pad = (hi - lo) * rng.uniform(-0.3, 0.5) + rng.uniform(0.0, 1.0)
+        lo, hi = lo - pad, hi + pad
+        if rng.random() < 0.4:
+            domains.append(convex_interval(lo, hi))
+        else:
+            e = random_envelope(rng)
+            k = (hi - lo) / (e.hi.q - e.lo.q)
+            domains.append(
+                PboxInterval(CdfPoint(lo, e.lo.f, e.lo.s / k), CdfPoint(hi, e.hi.f, e.hi.s / k))
+            )
+        posted.append(Constraint(kind, (a, b, len(domains) - 1)))
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.choice(["eq", "leq", "div"])
+        arity = 3 if kind == "div" else 2
+        posted.append(Constraint(kind, tuple(rng.sample(range(len(domains)), arity))))
+    rng.shuffle(posted)
+    return domains, posted
+
+
 class TestTernary:
     def test_add_unconstrained_sum_keeps_interval_sum(self):
         store = DomainStore()
@@ -211,6 +279,41 @@ class TestTernary:
         assert store.propagate() == CONSISTENT
         assert store.domains[z].lo.q == pytest.approx(1.0)
         assert store.domains[z].hi.q == pytest.approx(4.0)
+
+    def test_div_as_mul_matches_three_step_reference(self, rng, monkeypatch):
+        # div runs as the product z * y = x.  On every net the former
+        # three-step propagator must reach the same status or raise the same
+        # error.  Consistent fixpoints are equal; the two orders may stop
+        # apart only by a change below the wake threshold.
+        outcomes = {CONSISTENT: 0, FAILED: 0, "raised": 0, "exact": 0}
+        for _ in range(1500):
+            domains, posted = _div_network(rng)
+            results = []
+            for prop in (DomainStore._prop_div, _three_step_div):
+                monkeypatch.setitem(engine._KINDS, "div", (3, prop))
+                store, _ = _store_with(*domains)
+                for c in posted:
+                    store.post(c)
+                try:
+                    results.append((store.propagate(), store.domains))
+                except (DivisorStraddlesZero, ValueError) as exc:
+                    results.append(type(exc))
+            new, old = results
+            if not isinstance(new, tuple):
+                assert new == old
+                outcomes["raised"] += 1
+                continue
+            assert new[0] == old[0]
+            outcomes[new[0]] += 1
+            if new[0] == FAILED:
+                continue
+            outcomes["exact"] += new[1] == old[1]
+            for a, b in zip(new[1], old[1]):
+                for pa, pb in ((a.lo, b.lo), (a.hi, b.hi)):
+                    for va, vb in ((pa.q, pb.q), (pa.f, pb.f), (pa.s, pb.s)):
+                        assert abs(va - vb) <= TOLERANCE
+        assert min(outcomes[CONSISTENT], outcomes[FAILED], outcomes["raised"]) > 100, outcomes
+        assert outcomes["exact"] >= 0.99 * outcomes[CONSISTENT], outcomes
 
 
 class TestLinearSum:

@@ -235,6 +235,19 @@ class TestBuildModel:
         assert stock.lo.q == pytest.approx(0.0)
         assert stock.hi.q == pytest.approx(5.0)
 
+    def test_integer_flags_decide_like_booleans(self):
+        # 0 and 1 decide a cycle as False and True do; 0 is not undecided.
+        inputs = model_inputs(default_instance(3, 7))
+        flags = [True, False, True]
+        sizes = robust_order_sizes(inputs, flags)
+        for order_sizes in (None, sizes):
+            stores = [
+                build_model(inputs, schedule, order_sizes)[0] for schedule in (flags, [1, 0, 1])
+            ]
+            assert stores[0].domains == stores[1].domains
+            assert stores[0].propagate() == stores[1].propagate() == CONSISTENT
+            assert stores[0].domains == stores[1].domains
+
     def test_all_idle_with_demand_fails(self):
         inst = scalar_instance(3, [5.0, 5.0, 5.0])
         store, _ = build_model(model_inputs(inst), [False, False, False])
