@@ -25,7 +25,13 @@ from .pbox import (
     tighter_lower,
     tighter_upper,
 )
-from .arith import add_bounds, checked, div_bounds, mul_bounds, slide, sub_bounds
+from .arith import checked, div_bounds, mul_bounds, slide
+
+# _prop_add's slack-test margin per (terms + 1)^2 and per unit of the largest
+# endpoint magnitude, 4 * 2^-52; and the cap on the margin below which no sum
+# of its endpoints can overflow (see _prop_add).
+_MARGIN_ULP = 2.0**-50
+_MARGIN_CAP = 2.0**970
 
 CONSISTENT = "consistent"
 FAILED = "failed"
@@ -79,7 +85,12 @@ class DomainStore:
         self._queue: deque[int] = deque()
         self._queued: list[bool] = []
         self.status: str = CONSISTENT
-        self.stats = {"wakes": 0, "prunes": 0, "skipped_div_projections": 0}
+        self.stats = {
+            "wakes": 0,
+            "prunes": 0,
+            "skipped_div_projections": 0,
+            "skipped_add_passes": 0,
+        }
         self._shared_topology = False
 
     # -- construction ------------------------------------------------------
@@ -174,28 +185,53 @@ class DomainStore:
     def propagate(self) -> str:
         """Run queued propagators to fixpoint; returns the resulting status.
 
-        A :class:`DivisorStraddlesZero` or overflow ``ValueError`` puts the
-        interrupted constraint back at the head of the queue and is re-raised,
-        so the store never reports a fixpoint it has not reached.
+        A propagator that raises :class:`DivisorStraddlesZero` has changed
+        nothing; it is set aside, and a change to one of its variables wakes
+        it as usual.  Once the queue is empty the set-aside constraints run
+        again, and if a round of them changes no domain the first one is put
+        back at the head of the queue and its error is raised, so a model
+        errors only if a divisor still contains zero at the fixpoint,
+        whatever the order of its constraints.  An overflow ``ValueError``
+        puts the interrupted constraint back at the head of the queue and is
+        re-raised.  Either way the store never reports a fixpoint it has not
+        reached.
         """
         if self.status == FAILED:
             return FAILED
         queue = self._queue
-        while queue:
-            idx = queue.popleft()
-            self._queued[idx] = False
-            self.stats["wakes"] += 1
-            c = self.constraints[idx]
-            try:
-                _KINDS[c.kind][1](self, *c.args)
-            except Inconsistent:
-                self.fail()
-                return FAILED
-            except (DivisorStraddlesZero, ValueError):
-                self._queued[idx] = True
-                queue.appendleft(idx)
-                raise
-        return CONSISTENT
+        waiting: dict[int, DivisorStraddlesZero] = {}
+        writes = -1
+        while True:
+            while queue:
+                idx = queue.popleft()
+                self._queued[idx] = False
+                self.stats["wakes"] += 1
+                c = self.constraints[idx]
+                try:
+                    _KINDS[c.kind][1](self, *c.args)
+                except Inconsistent:
+                    self.fail()
+                    return FAILED
+                except DivisorStraddlesZero as exc:
+                    waiting[idx] = exc
+                except ValueError:
+                    self._queued[idx] = True
+                    queue.appendleft(idx)
+                    for other in waiting:
+                        self._enqueue(other)
+                    raise
+            if not waiting:
+                return CONSISTENT
+            if self.stats["prunes"] == writes:
+                # The set-aside constraints ran again on unchanged domains.
+                for other in reversed(waiting):
+                    self._queued[other] = True
+                    queue.appendleft(other)
+                raise next(iter(waiting.values()))
+            writes = self.stats["prunes"]
+            for other in waiting:
+                self._enqueue(other)
+            waiting.clear()
 
     def _slide_to(self, vid: int, bounds: tuple[float, float]) -> None:
         # Fast exit for the common fixpoint case where nothing contracts.
@@ -241,34 +277,86 @@ class DomainStore:
     # turn, always reading the domains left by the previous projection.
 
     def _prop_add(self, *args: int) -> None:
-        # x1 + ... + xn = z in O(n): z takes the left-to-right sum of the terms;
-        # term k takes z minus the later terms, one at a time, minus the sum of
-        # the earlier ones as narrowed: a binary-sum chain without accumulators.
+        # x1 + ... + xn = z in O(n): z takes the left-to-right sum S of the
+        # terms; term k takes z minus the later terms, one at a time, minus the
+        # sum of the earlier ones as narrowed: a binary-sum chain without
+        # accumulators.  The interval sums of arith.add_bounds/sub_bounds are
+        # inlined (the same float operations): this is the hottest propagator.
+        #
+        # Slack test (Harvey & Schimpf, TRICS 2002).  In exact arithmetic term
+        # k's new lower bound is hi_k - (S_hi - z_lo), so it moves only if its
+        # width w_k exceeds S_hi - z_lo; likewise for the upper bound with
+        # z_hi - S_lo.  When wmax + margin < min(S_hi - z_lo, z_hi - S_lo),
+        # the backward pass would slide no term, so it is skipped.
+        #
+        # Margin.  Let B = max(hi, -lo) over the terms and z, which bounds
+        # |lo| and |hi| as lo <= hi, and u = 2^-53.  Each float sum here (S,
+        # the slack, a term's backward bound) adds or subtracts at most n+1 of
+        # those values with at most n roundings, so it is within n*(n+1)*u*B
+        # of its exact value; a width is within 2*u*B.  The slack and one
+        # backward bound together are off by under 2*(n+1)^2*u*B, and the
+        # margin 4*(n+1)^2*2^-52*B is four times that, higher-order terms
+        # included.  So a skip implies w_k < S_hi - z_lo exactly, and every
+        # term's float bound would have passed the contraction test below.
+        # The test also requires (n+1)*B < 2^1020 (margin < 2^970): then no
+        # sum overflows, and a non-finite S or slack never skips.
+        #
+        # z is read after its slide.  If z is also a term and the slide moved
+        # it, S cut one of its old bounds, so that side's slack is below z's
+        # old width and the test fails: a skip sees the terms the backward
+        # pass would read.
         d = self.domains
         n = len(args) - 1
         dt = d[args[0]]
         lo, hi = dt.lo.q, dt.hi.q
-        for i in range(1, n):
-            dt = d[args[i]]
-            lo, hi = add_bounds(lo, hi, dt.lo.q, dt.hi.q)
-        self._slide_to(args[n], (lo, hi))
-        dz = d[args[n]]
-        lo, hi = dz.lo.q, dz.hi.q
+        wmax = hi - lo
+        big = hi if hi > -lo else -lo
+        for x in args[1:n]:
+            dt = d[x]
+            t_lo, t_hi = dt.lo.q, dt.hi.q
+            lo += t_lo
+            hi += t_hi
+            if t_hi - t_lo > wmax:
+                wmax = t_hi - t_lo
+            if t_hi > big:
+                big = t_hi
+            if -t_lo > big:
+                big = -t_lo
+        z = args[n]
+        self._slide_to(z, (lo, hi))
+        dz = d[z]
+        z_lo, z_hi = dz.lo.q, dz.hi.q
+        if z_hi > big:
+            big = z_hi
+        if -z_lo > big:
+            big = -z_lo
+        margin = (n + 1) * (n + 1) * _MARGIN_ULP * big
+        bar = wmax + margin
+        if bar < hi - z_lo and bar < z_hi - lo and margin < _MARGIN_CAP:
+            self.stats["skipped_add_passes"] += 1
+            return
+        lo, hi = z_lo, z_hi
         rests = [(lo, hi)]
         for i in range(n - 1, 0, -1):
             dt = d[args[i]]
-            lo, hi = sub_bounds(lo, hi, dt.lo.q, dt.hi.q)
+            lo -= dt.hi.q
+            hi -= dt.lo.q
             rests.append((lo, hi))
         for i, x in enumerate(args[:n]):
             lo, hi = rests.pop()
             if i:
-                lo, hi = sub_bounds(lo, hi, p_lo, p_hi)
+                lo -= p_hi
+                hi -= p_lo
             dt = d[x]
             # The contraction test of _slide_to, inlined: this loop is hot.
             if not (lo <= dt.lo.q and hi >= dt.hi.q):
                 self._update(x, slide(dt, checked(lo, hi)))
                 dt = d[x]
-            p_lo, p_hi = add_bounds(p_lo, p_hi, dt.lo.q, dt.hi.q) if i else (dt.lo.q, dt.hi.q)
+            if i:
+                p_lo += dt.lo.q
+                p_hi += dt.hi.q
+            else:
+                p_lo, p_hi = dt.lo.q, dt.hi.q
 
     def _prop_mul(self, x: int, y: int, z: int) -> None:
         # Reverse projections over a zero-straddling factor are skipped,
@@ -290,8 +378,9 @@ class DomainStore:
             self._slide_to(y, div_bounds(dz.lo.q, dz.hi.q, dx.lo.q, dx.hi.q))
 
     def _prop_div(self, x: int, y: int, z: int) -> None:
-        # A zero-straddling divisor is a hard error, raised before any
-        # projection; otherwise x / y = z runs as the product z * y = x.
+        # A zero-straddling divisor raises before any projection, and
+        # propagate sets the constraint aside until the fixpoint; otherwise
+        # x / y = z runs as the product z * y = x.
         dy = self.domains[y]
         if dy.lo.q <= 0.0 <= dy.hi.q:
             raise DivisorStraddlesZero(f"divisor range [{dy.lo.q!r}, {dy.hi.q!r}] contains zero")

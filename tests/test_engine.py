@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pboxcdf import engine
-from pboxcdf.arith import add_bounds, div_bounds, mul_bounds, sub_bounds
+from pboxcdf.arith import add_bounds, checked, div_bounds, mul_bounds, slide, sub_bounds
 from pboxcdf.engine import (
     CONSISTENT,
     FAILED,
@@ -271,6 +271,36 @@ class TestTernary:
                 store.propagate()
             assert store.status == CONSISTENT
 
+    def test_div_error_does_not_depend_on_posting_order(self):
+        # eq narrows the divisor clear of zero; in either order the store
+        # reaches the same fixpoint, and a divisor that still straddles zero
+        # there raises in either order.
+        domains = (
+            convex_interval(1.0, 2.0),
+            convex_interval(-1.0, 1.0),
+            convex_interval(-10.0, 10.0),
+            convex_interval(0.5, 1.0),
+        )
+        div, eq = Constraint("div", (0, 1, 2)), Constraint("eq", (1, 3))
+        fixpoints = []
+        for posted in ((div, eq), (eq, div)):
+            store, _ = _store_with(*domains)
+            for c in posted:
+                store.post(c)
+            assert store.propagate() == CONSISTENT
+            fixpoints.append(store.domains)
+        assert fixpoints[0] == fixpoints[1]
+        assert fixpoints[0][1] == convex_interval(0.5, 1.0)
+        assert fixpoints[0][2] == convex_interval(1.0, 4.0)
+        leq = Constraint("leq", (1, 3))
+        for posted in ((div, leq), (leq, div)):
+            store, _ = _store_with(*domains)
+            for c in posted:
+                store.post(c)
+            with pytest.raises(DivisorStraddlesZero):
+                store.propagate()
+            assert store.status == CONSISTENT
+
     def test_div_projections(self):
         store, (x, y, z) = _store_with(
             convex_interval(4.0, 8.0), convex_interval(2.0, 4.0), convex_interval(0.0, 100.0)
@@ -314,6 +344,72 @@ class TestTernary:
                         assert abs(va - vb) <= TOLERANCE
         assert min(outcomes[CONSISTENT], outcomes[FAILED], outcomes["raised"]) > 100, outcomes
         assert outcomes["exact"] >= 0.99 * outcomes[CONSISTENT], outcomes
+
+
+def _full_pass_add(store, *args):
+    """The former ``add`` propagator, kept as a reference: every wake runs the
+    whole backward pass, through arith's bound formulas, with no slack test."""
+    d = store.domains
+    n = len(args) - 1
+    dt = d[args[0]]
+    lo, hi = dt.lo.q, dt.hi.q
+    for i in range(1, n):
+        dt = d[args[i]]
+        lo, hi = add_bounds(lo, hi, dt.lo.q, dt.hi.q)
+    store._slide_to(args[n], (lo, hi))
+    dz = d[args[n]]
+    lo, hi = dz.lo.q, dz.hi.q
+    rests = [(lo, hi)]
+    for i in range(n - 1, 0, -1):
+        dt = d[args[i]]
+        lo, hi = sub_bounds(lo, hi, dt.lo.q, dt.hi.q)
+        rests.append((lo, hi))
+    for i, x in enumerate(args[:n]):
+        lo, hi = rests.pop()
+        if i:
+            lo, hi = sub_bounds(lo, hi, p_lo, p_hi)
+        dt = d[x]
+        if not (lo <= dt.lo.q and hi >= dt.hi.q):
+            store._update(x, slide(dt, checked(lo, hi)))
+            dt = d[x]
+        p_lo, p_hi = add_bounds(p_lo, p_hi, dt.lo.q, dt.hi.q) if i else (dt.lo.q, dt.hi.q)
+
+
+def _stretched(d, lo, hi):
+    """``d``'s cdf lines moved onto the quantile range [lo, hi]."""
+    if d.hi.q == d.lo.q or lo == hi:
+        return convex_interval(lo, hi)
+    k = (hi - lo) / (d.hi.q - d.lo.q)
+    return PboxInterval(CdfPoint(lo, d.lo.f, d.lo.s / k), CdfPoint(hi, d.hi.f, d.hi.s / k))
+
+
+def _long_sum_term(rng):
+    """Mixed signs, magnitudes up to about 1e5, steep cdf lines and point masses."""
+    if rng.random() < 0.2:
+        return point_mass(rng.uniform(-1e5, 1e5))
+    d = random_domain(rng)
+    scale = 10.0 ** rng.uniform(-3.0, 2.0)
+    shift = rng.uniform(-9e4, 9e4)
+    return _stretched(d, d.lo.q * scale + shift, d.hi.q * scale + shift)
+
+
+def _bits(domains):
+    return [
+        (p.q.hex(), p.f.hex(), p.s.hex()) for dom in domains for p in (dom.lo, dom.hi)
+    ]
+
+
+def _run_add(domains, args, prop, monkeypatch):
+    """Status (or the error raised), domain bits and counters of one ``add``
+    posted over ``domains`` and propagated with ``prop``."""
+    monkeypatch.setitem(engine._KINDS, "add", (3, prop))
+    store, _ = _store_with(*domains)
+    store.post(Constraint("add", tuple(args)))
+    try:
+        status = store.propagate()
+    except ValueError as exc:
+        status = (type(exc), str(exc))
+    return status, _bits(store.domains), store.stats
 
 
 class TestLinearSum:
@@ -369,6 +465,104 @@ class TestLinearSum:
                 for pa, pb in ((a.lo, b.lo), (a.hi, b.hi)):
                     for va, vb in ((pa.q, pb.q), (pa.f, pb.f), (pa.s, pb.s)):
                         assert math.isclose(va, vb, rel_tol=0.0, abs_tol=1e-12)
+
+
+    def test_slack_skip_matches_full_backward_pass(self, rng, monkeypatch):
+        # The slack test only skips passes in which the full backward pass
+        # would slide no term.  Sums of 2-26 terms, with the total cut so
+        # that slack - wmax often lies within a few margins of 0, must give
+        # bit-equal domains and equal counters with and without it.
+        skipped = near = 0
+        draws = 2000
+        for _ in range(draws):
+            n = rng.randint(2, 26)
+            terms = [_long_sum_term(rng) for _ in range(n)]
+            s_lo = s_hi = 0.0
+            for t in terms:
+                s_lo += t.lo.q
+                s_hi += t.hi.q
+            wmax = max(t.hi.q - t.lo.q for t in terms)
+            big = max(max(-t.lo.q, t.hi.q) for t in terms)
+            margin = 4 * (n + 1) ** 2 * 2.0**-52 * big
+            pad = rng.choice([0.0, rng.uniform(0.0, 10.0), rng.uniform(0.0, 1e4)])
+            roll = rng.random()
+            if roll < 0.6:
+                gap = rng.uniform(-4.0, 4.0) * margin
+                if rng.random() < 0.5:
+                    z_lo, z_hi = s_hi - wmax - gap, s_hi + pad
+                else:
+                    z_lo, z_hi = s_lo - pad, s_lo + wmax + gap
+            elif roll < 0.8:
+                z_lo, z_hi = sorted(rng.uniform(s_lo - pad, s_hi + pad) for _ in range(2))
+            else:
+                z_lo, z_hi = s_lo - pad, s_hi + pad
+            z_lo, z_hi = min(z_lo, z_hi), max(z_lo, z_hi)
+            cut_lo, cut_hi = max(z_lo, s_lo), min(z_hi, s_hi)
+            if cut_lo <= cut_hi:
+                slack = min(s_hi - cut_lo, cut_hi - s_lo)
+                near += abs(slack - wmax) <= 4.0 * margin
+            total = _stretched(random_domain(rng), z_lo, z_hi)
+            args = list(range(n + 1))
+            roll = rng.random()
+            if roll < 0.05:
+                args[n] = rng.randrange(n)  # the total is also a term
+            elif roll < 0.1:
+                args[rng.randrange(n)] = rng.randrange(n)  # a repeated term
+            domains = terms + [total]
+            new = _run_add(domains, args, DomainStore._prop_add, monkeypatch)
+            old = _run_add(domains, args, _full_pass_add, monkeypatch)
+            assert new[:2] == old[:2]
+            for key in ("wakes", "prunes"):
+                assert new[2][key] == old[2][key]
+            skipped += new[2]["skipped_add_passes"] > 0
+        assert skipped >= 0.3 * draws, skipped
+        assert near >= 0.3 * draws, near
+
+    def test_overflowing_sum_matches_full_backward_pass(self, monkeypatch):
+        # A sum whose float value, or slack, is not finite is never skipped:
+        # both propagators raise the same error or reach the same domains.
+        cases = [
+            ([(1e308, 1.5e308), (1e308, 1.5e308)], (0.0, 1.0)),
+            ([(0.0, 1e308), (0.0, 1e308)], (0.0, 1.0)),
+            ([(-1e308, 1e308), (-1e308, 1e308)], (-1.0, 1.0)),
+            ([(-6.9e306, 6.9e306)] * 26, (-1.79e308, 1.79e308)),
+        ]
+        statuses = []
+        for terms, total in cases:
+            domains = [convex_interval(lo, hi) for lo, hi in terms + [total]]
+            args = range(len(domains))
+            new = _run_add(domains, args, DomainStore._prop_add, monkeypatch)
+            old = _run_add(domains, args, _full_pass_add, monkeypatch)
+            assert new[:2] == old[:2]
+            assert new[2]["skipped_add_passes"] == 0
+            statuses.append(new[0])
+        assert statuses[0][0] is ValueError
+        assert statuses[1:] == [CONSISTENT] * 3
+
+    def test_fixpoint_repropagation_skips_every_add(self, rng):
+        # Totals narrowed only by the forward sums: at the fixpoint every
+        # term has slack to spare, so each add woken again skips its
+        # backward pass.
+        store = DomainStore()
+        terms = [store.new_var(random_envelope(rng)) for _ in range(12)]
+        mid = store.new_var((-1e4, 1e4))
+        total = store.new_var((-1e4, 1e4))
+        posted = [
+            Constraint("add", (*terms[:6], mid)),
+            Constraint("add", (mid, *terms[6:], total)),
+        ]
+        for c in posted:
+            store.post(c)
+        assert store.propagate() == CONSISTENT
+        fixpoint = list(store.domains)
+        before = dict(store.stats)
+        for c in posted:
+            store.post(c)
+        assert store.propagate() == CONSISTENT
+        assert store.domains == fixpoint
+        woken = store.stats["wakes"] - before["wakes"]
+        assert woken == len(posted)
+        assert store.stats["skipped_add_passes"] - before["skipped_add_passes"] == woken
 
 
 def _random_network(rng, n_vars=6, n_constraints=5):

@@ -606,6 +606,10 @@ class TestBenchmark:
         assert row["nodes"] > 1
         assert row["alloc_counters"]["domain_writes"] > row["nodes"]
 
+    def test_report_counts_skipped_add_passes(self):
+        row = run_benchmark([7], seed=42, model="pbox")["rows"][0]
+        assert row["best"]["stats"]["skipped_add_passes"] > 0
+
     def test_convex_model_rows_have_no_containment(self):
         report = run_benchmark([5], seed=7, model="convex")
         assert "containment" not in report["rows"][0]
