@@ -198,11 +198,7 @@ def _div_network(rng):
         if rng.random() < 0.4:
             domains.append(convex_interval(lo, hi))
         else:
-            e = random_envelope(rng)
-            k = (hi - lo) / (e.hi.q - e.lo.q)
-            domains.append(
-                PboxInterval(CdfPoint(lo, e.lo.f, e.lo.s / k), CdfPoint(hi, e.hi.f, e.hi.s / k))
-            )
+            domains.append(_stretched(random_envelope(rng), lo, hi))
         posted.append(Constraint(kind, (a, b, len(domains) - 1)))
     for _ in range(rng.randint(0, 2)):
         kind = rng.choice(["eq", "leq", "div"])
