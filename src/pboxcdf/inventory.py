@@ -10,6 +10,7 @@ cheapest worst-case-covering sizes for reporting.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -329,6 +330,14 @@ def _post_sum(store: DomainStore, terms: list[int], name: str) -> int:
     return total
 
 
+def _post_product(store: DomainStore, price: int, quantity: int, name: str) -> int:
+    """A variable for ``price * quantity``, tied to both by one ``mul``."""
+    binding = combine_bindings("mul", store.domains[price], store.domains[quantity])
+    cost = store.new_var(binding, name=name)
+    store.post(Constraint("mul", (price, quantity, cost)))
+    return cost
+
+
 def _cycle_domains(inputs: ModelInputs, decided) -> tuple[PboxInterval, PboxInterval]:
     """Order and ordering-cost domains of a cycle: a true flag orders in [x_min,
     x_max] at the ordering cost, a false one nothing, None leaves both open."""
@@ -349,9 +358,12 @@ def build_model(
     [x_min, x_max], False forces none, None leaves the decision open with the
     relaxed order range [0, x_max].  With ``order_sizes`` the order variables
     are pinned to those quantities instead.  Flow balance, non-negative stock
-    and the cost sums are posted; two redundant aggregates (total orders tied
-    to total demand, and the purchase part of the cost tied to total orders)
-    sharpen the cost lower bound used for pruning.
+    and the cost sum are posted.  Holding and purchase are each one product
+    over a total, ``h * sum(stock_t)`` and ``v * sum(order_t)``: costs,
+    stock and orders are non-negative, and over non-negative intervals
+    multiplication distributes over addition exactly, so the per-cycle
+    products would add no bound.  A floor on the total orders prices
+    purchase into the cost lower bound used for pruning.
     """
     inst = inputs.inst
     if len(schedule) != inst.horizon:
@@ -366,8 +378,6 @@ def build_model(
     vvar = store.new_var(inputs.unit_cost, name="v")
     i0var = store.new_var(point_mass(inst.initial_stock), name="stock0")
 
-    holds: list[int] = []
-    buys: list[int] = []
     prev_stock = i0var
     for t in range(inst.horizon):
         cyc = t + 1
@@ -399,35 +409,12 @@ def build_model(
         i_t = store.new_var(i_bind, name=f"stock{cyc}")
         store.post(Constraint("sub", (b_t, d_t, i_t)))
         mv.stock.append(i_t)
-
-        hold_t = store.new_var(
-            combine_bindings("mul", inputs.holding_cost, i_bind), name=f"holding_cost{cyc}"
-        )
-        store.post(Constraint("mul", (hvar, i_t, hold_t)))
-        holds.append(hold_t)
-        buy_t = store.new_var(
-            combine_bindings("mul", inputs.unit_cost, store.domains[x_t]),
-            name=f"purchase_cost{cyc}",
-        )
-        store.post(Constraint("mul", (vvar, x_t, buy_t)))
-        buys.append(buy_t)
         prev_stock = i_t
 
     orders = _post_sum(store, mv.order, "total_orders")
-    demand = _post_sum(store, mv.demand, "total_demand")
-    holding = _post_sum(store, holds, "total_holding")
-    purchase = _post_sum(store, buys, "total_purchase")
-
-    # Conservation closure: total orders = total demand + (final - initial stock).
-    # Redundant for single solutions but it lifts the purchase-cost floor that
-    # per-cycle domains cannot see.
-    drained = store.new_var(
-        combine_bindings("sub", store.domains[prev_stock], store.domains[i0var]),
-        name="net_stock_gain",
-    )
-    store.post(Constraint("sub", (prev_stock, i0var, drained)))
-    store.post(Constraint("add", (demand, drained, orders)))
-    store.post(Constraint("mul", (vvar, orders, purchase)))
+    stock = _post_sum(store, mv.stock, "total_stock")
+    holding = _post_product(store, hvar, stock, "total_holding")
+    purchase = _post_product(store, vvar, orders, "total_purchase")
 
     # Orders must be able to meet demand up to the next replenishment, so the
     # total ordered quantity is floored by worst-case total demand.  Pinned
@@ -589,9 +576,9 @@ class SearchResult:
     best: ScheduleReport | None
     nodes: int
     clones: int
-    # Domain changes made by the search: the root store's propagation plus
-    # what each node adds while fixing its flag.
-    domain_writes: int
+    # Store counters of the search: the root store's propagation plus what
+    # each node adds while fixing its flag.
+    stats: dict
     wall_time_s: float
 
     def to_dict(self) -> dict:
@@ -600,7 +587,8 @@ class SearchResult:
             "best": self.best.to_dict() if self.best is not None else None,
             "nodes": self.nodes,
             "clones": self.clones,
-            "domain_writes": self.domain_writes,
+            "domain_writes": self.stats["prunes"],
+            "stats": dict(self.stats),
             "wall_time_s": self.wall_time_s,
         }
 
@@ -633,7 +621,8 @@ class _Searcher:
         self._cost_to_go = self._min_future_overhead()
         self.nodes = 0
         self.clones = 0
-        self.domain_writes = 0
+        # The search's store counters, set from the root store by :meth:`run`.
+        self.stats: dict = {}
         # The best scored leaf as (schedule, tc.lo.q, resolved report fields).
         self.incumbent = None
         # The greedy seed's schedule, scored before the DFS reaches it.
@@ -708,7 +697,7 @@ class _Searcher:
     def run(self) -> None:
         store, mv = build_model(self.inputs, [None] * self.inst.horizon)
         status = store.propagate()
-        self.domain_writes += store.stats["prunes"]
+        self.stats = dict(store.stats)
         if status == FAILED:
             return
         self._seed_incumbent()
@@ -725,14 +714,14 @@ class _Searcher:
             best=best,
             nodes=self.nodes,
             clones=self.clones,
-            domain_writes=self.domain_writes,
+            stats=self.stats,
             wall_time_s=time.perf_counter() - started,
         )
 
     def _fix(
         self, store: DomainStore, mv: ModelVars, t: int, on: bool, path: list[bool]
     ) -> str:
-        writes_before = store.stats["prunes"]
+        before = dict(store.stats)
         x_dom, a_dom = _cycle_domains(self.inputs, on)
         store.tighten(mv.order[t], x_dom)
         store.tighten(mv.order_cost[t], a_dom)
@@ -752,7 +741,8 @@ class _Searcher:
                 required += self.worst[j]
                 j -= 1
         status = store.propagate()
-        self.domain_writes += store.stats["prunes"] - writes_before
+        for key, count in store.stats.items():
+            self.stats[key] += count - before[key]
         return status
 
     def _coverable(self, path: list[bool]) -> bool:
@@ -902,10 +892,11 @@ def run_benchmark(
 ) -> dict:
     """Timed search runs over seeded instances, one row per horizon.
 
-    Rows record wall time and allocation counters (domain writes and store
-    clones stand in for heap metrics).  Under the p-box model each row also
-    carries the convex evaluation of the winning schedule and containment
-    checks of the total-cost intervals.  A given ``instance`` replaces the
+    Rows record wall time, allocation counters (domain writes and store
+    clones stand in for heap metrics) and the search's store counters
+    (``stats``; ``best.stats`` count the winner's pinned re-solve alone).
+    Under the p-box model each row also carries the convex evaluation of the
+    winning schedule and containment checks of the total-cost intervals.  A given ``instance`` replaces the
     seeded ones: it runs once, and the report's horizons and order bounds are
     its own, with no seed.
     """
@@ -918,6 +909,9 @@ def run_benchmark(
         ]
     rows = []
     for inst in instances:
+        # A full collection of the caller's heap would otherwise land in
+        # whichever search crosses the collector's threshold, timed as its own.
+        gc.collect()
         started = time.perf_counter()
         result = search(inst, mode=model)
         elapsed = time.perf_counter() - started
@@ -929,8 +923,9 @@ def run_benchmark(
             "nodes": result.nodes,
             "alloc_counters": {
                 "store_clones": result.clones,
-                "domain_writes": result.domain_writes,
+                "domain_writes": result.stats["prunes"],
             },
+            "stats": result.stats,
             "timing": {"wall_time_s": elapsed},
         }
         if result.best is not None:

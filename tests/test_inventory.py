@@ -290,6 +290,33 @@ class TestBuildModel:
                 assert evaluate_schedule(inst, flags) is not None, (inst, flags)
         assert covered > 500
 
+    def test_scalar_cost_matches_closed_form(self):
+        # With scalar inputs and pinned sizes every quantity is a number, so
+        # the total cost is a*k + h*sum(stock_t) + v*sum(x_t), with stock_t
+        # the end-of-cycle stock, computed here without the network.
+        rng = random.Random(1618)
+        covered = 0
+        for inst in (random_scalar_instance(rng) for _ in range(60)):
+            inputs = model_inputs(inst)
+            for flags in product((False, True), repeat=inst.horizon):
+                sizes = robust_order_sizes(inputs, flags)
+                if sizes is None:
+                    continue
+                covered += 1
+                stocks, stock = [], inst.initial_stock
+                for x, d in zip(sizes, inst.demands):
+                    stock += x - d
+                    stocks.append(max(stock, 0.0))
+                expected = (
+                    inst.ordering_cost * sum(flags)
+                    + inst.holding_cost * math.fsum(stocks)
+                    + inst.unit_cost * math.fsum(sizes)
+                )
+                tc = evaluate_schedule(inst, flags).tc
+                for q in (tc.lo.q, tc.hi.q):
+                    assert abs(q - expected) <= 8 * 2**-52 * expected, (inst, flags, q)
+        assert covered == 610
+
     def test_invalid_instances_rejected(self):
         with pytest.raises(ValueError):
             scalar_instance(0, [])
@@ -324,10 +351,15 @@ class TestBuildModel:
                 if vid not in read and vid != mv.tc
             ]
             assert unread == [], (schedule, sizes)
-        # One supply sum per cycle; the order, demand, holding, purchase and
-        # total-cost sums; the conservation closure.
+        # Per cycle, one supply sum and one stock balance; the order, stock
+        # and total-cost sums; holding priced once on the total stock and
+        # purchase once on the total orders.
         relaxed, _ = build_model(inputs, [None] * 7)
-        assert sum(c.kind == "add" for c in relaxed.constraints) == 7 + 6
+        kinds = [c.kind for c in relaxed.constraints]
+        assert len(relaxed.domains) == 43
+        assert (kinds.count("add"), kinds.count("sub"), kinds.count("mul")) == (7 + 3, 7, 2)
+        long, _ = build_model(model_inputs(default_instance(24, 42), mode), [None] * 24)
+        assert (len(long.domains), len(long.constraints)) == (128, 53)
 
     def test_every_domain_passes_dominance_after_propagation(self, rng):
         inst = default_instance(6, 13)
@@ -609,6 +641,10 @@ class TestBenchmark:
     def test_report_counts_skipped_add_passes(self):
         row = run_benchmark([7], seed=42, model="pbox")["rows"][0]
         assert row["best"]["stats"]["skipped_add_passes"] > 0
+        # The row's stats count the whole search; the winner's count its
+        # pinned re-solve alone.
+        assert row["stats"]["prunes"] == row["alloc_counters"]["domain_writes"]
+        assert row["stats"]["skipped_add_passes"] > row["best"]["stats"]["skipped_add_passes"]
 
     def test_convex_model_rows_have_no_containment(self):
         report = run_benchmark([5], seed=7, model="convex")
