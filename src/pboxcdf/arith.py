@@ -1,10 +1,12 @@
 """Interval arithmetic on quantile ranges, plus the cdf-domain projection.
 
-Arithmetic moves quantile bounds exactly as real interval arithmetic does;
-cdf components are recovered afterwards by sliding each bound point along
-its own cdf line onto the new quantile range.  The bound formulas work on
-float endpoints so that the propagators can call them without building
-intervals.
+Arithmetic moves quantile bounds exactly as real interval arithmetic does.
+The bound formulas work on float endpoints: the engine's propagators call
+them on the real line and project onto the cdf domain once per fixpoint.
+``slide`` is that projection for one domain and one target range: it slides
+each bound point along its own cdf line onto the new quantile range.
+``checked`` turns a computed range into a ``QuantileInterval`` and rejects
+overflow; model building uses both to bind derived domains.
 """
 
 from __future__ import annotations

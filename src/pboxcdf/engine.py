@@ -1,13 +1,24 @@
 """Variable store and fixpoint propagation for p-box cdf-interval constraints.
 
-Constraints register watch lists on their variables and sit in a FIFO wake
-queue.  A propagator re-enters the queue only when one of its variables moved
-by more than the fixed absolute ``TOLERANCE`` in any scalar component, so runs
-terminate at a stable fixpoint.  One n-ary ``add`` also runs ``sub``; ``mul`` runs ``div``.
+Propagation is an interval computation on the real line, projected onto the
+cdf domain once per fixpoint.  While ``propagate`` runs, the arithmetic
+propagators read and narrow plain float quantile bounds; when no propagator
+is queued, each variable whose bounds moved has its two cdf points slid
+along their own lines onto the new bounds and dominance-repaired.  ``eq`` and
+``leq`` exchange cdf lines, so they read projected domains.
+
+Constraints register watch lists on their variables.  Binary constraints
+wait in one FIFO wake queue, n-ary sums in a second one that runs only when
+the first is empty, so a sum fed by a chain of binary constraints runs once
+the chain has settled.  A propagator re-enters a queue only when one of its
+variables moved by more than the fixed absolute ``TOLERANCE`` in any scalar
+component, so runs terminate at a stable fixpoint.  One n-ary ``add`` also
+runs ``sub``; ``mul`` runs ``div``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -25,7 +36,7 @@ from .pbox import (
     tighter_lower,
     tighter_upper,
 )
-from .arith import checked, div_bounds, mul_bounds, slide
+from .arith import div_bounds, mul_bounds
 
 # _prop_add's slack-test margin per (terms + 1)^2 and per unit of the largest
 # endpoint magnitude, 4 * 2^-52; and the cap on the margin below which no sum
@@ -71,7 +82,7 @@ def coerce_domain(initial) -> PboxInterval:
 
 
 class DomainStore:
-    """Solver state: domains, constraints, watch lists and the wake queue.
+    """Solver state: domains, constraints, watch lists and the wake queues.
 
     A store is single-threaded; clones are cheap and independent, which is
     how search explores alternatives.
@@ -82,7 +93,11 @@ class DomainStore:
         self.names: list[str] = []
         self.constraints: list[Constraint] = []
         self._watchers: list[list[int]] = []
+        self._is_sum: list[bool] = []
+        # The wake queue.  While propagate runs, n-ary sums wait apart in
+        # _sums; otherwise _sums is _queue.
         self._queue: deque[int] = deque()
+        self._sums: deque[int] = self._queue
         self._queued: list[bool] = []
         self.status: str = CONSISTENT
         self.stats = {
@@ -92,6 +107,11 @@ class DomainStore:
             "skipped_add_passes": 0,
         }
         self._shared_topology = False
+        # Only while propagate runs: every variable's quantile bounds, and
+        # the variables whose bounds moved off their domain's points.
+        self._lo: list[float] | None = None
+        self._hi: list[float] | None = None
+        self._moved: set[int] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -116,6 +136,7 @@ class DomainStore:
             self._unshare()
         idx = len(self.constraints)
         self.constraints.append(constraint)
+        self._is_sum.append(len(constraint.args) > 3)
         self._queued.append(False)
         for vid in set(constraint.args):
             self._watchers[vid].append(idx)
@@ -128,11 +149,13 @@ class DomainStore:
         other.names = self.names
         other.constraints = self.constraints
         other._watchers = self._watchers
-        other._queue = deque(self._queue)
+        other._is_sum = self._is_sum
+        other._queue = other._sums = deque(self._queue)
         other._queued = list(self._queued)
         other.status = self.status
         other.stats = dict(self.stats)
         other._shared_topology = True
+        other._lo = other._hi = other._moved = None
         self._shared_topology = True
         return other
 
@@ -140,21 +163,40 @@ class DomainStore:
         self.names = list(self.names)
         self.constraints = list(self.constraints)
         self._watchers = [list(w) for w in self._watchers]
+        self._is_sum = list(self._is_sum)
         self._shared_topology = False
 
     # -- propagation -------------------------------------------------------
 
+    def _queue_of(self, idx: int) -> deque[int]:
+        return self._sums if self._is_sum[idx] else self._queue
+
     def _enqueue(self, idx: int) -> None:
         if not self._queued[idx]:
             self._queued[idx] = True
-            self._queue.append(idx)
+            self._queue_of(idx).append(idx)
+
+    def _wake(self, vid: int) -> None:
+        # Counts one domain write and queues the watchers of the variable.
+        self.stats["prunes"] += 1
+        queued, is_sum = self._queued, self._is_sum
+        queue, sums = self._queue, self._sums
+        for idx in self._watchers[vid]:
+            if not queued[idx]:
+                queued[idx] = True
+                if is_sum[idx]:
+                    sums.append(idx)
+                else:
+                    queue.append(idx)
 
     def fail(self) -> None:
         """Mark the store inconsistent and drop all pending wakes."""
         self.status = FAILED
         self._queue.clear()
+        self._sums.clear()
 
     def _update(self, vid: int, new: PboxInterval) -> None:
+        # Writes a domain that moved by more than TOLERANCE in any component.
         old = self.domains[vid]
         if new is old:
             return
@@ -168,9 +210,10 @@ class DomainStore:
         ):
             return
         self.domains[vid] = new
-        self.stats["prunes"] += 1
-        for idx in self._watchers[vid]:
-            self._enqueue(idx)
+        if self._lo is not None:
+            self._lo[vid] = new.lo.q
+            self._hi[vid] = new.hi.q
+        self._wake(vid)
 
     def tighten(self, vid: int, narrower) -> str:
         """Meet a variable's domain with a narrower one and propagate wakes."""
@@ -185,64 +228,159 @@ class DomainStore:
     def propagate(self) -> str:
         """Run queued propagators to fixpoint; returns the resulting status.
 
+        The arithmetic propagators narrow float quantile bounds only.  Once
+        no propagator is queued, each variable whose bounds moved has its two
+        cdf points re-anchored onto them and dominance-repaired; a repair that
+        cuts a bound wakes the variable's watchers and propagation goes on.
+        An n-ary ``add`` runs only when no other constraint is queued.
+
         A propagator that raises :class:`DivisorStraddlesZero` has changed
         nothing; it is set aside, and a change to one of its variables wakes
-        it as usual.  Once the queue is empty the set-aside constraints run
+        it as usual.  Once the queues are empty the set-aside constraints run
         again, and if a round of them changes no domain the first one is put
         back at the head of the queue and its error is raised, so a model
         errors only if a divisor still contains zero at the fixpoint,
         whatever the order of its constraints.  An overflow ``ValueError``
-        puts the interrupted constraint back at the head of the queue and is
+        puts the interrupted constraint back at the head of its queue and is
         re-raised.  Either way the store never reports a fixpoint it has not
-        reached.
+        reached, and every exit leaves the domains projected.
         """
         if self.status == FAILED:
             return FAILED
         queue = self._queue
+        if not queue:
+            return CONSISTENT
+        sums = self._sums = deque()
+        for _ in range(len(queue)):
+            idx = queue.popleft()
+            self._queue_of(idx).append(idx)
+        domains = self.domains
+        self._lo = [d.lo.q for d in domains]
+        self._hi = [d.hi.q for d in domains]
+        self._moved = set()
+        try:
+            return self._fixpoint()
+        except Inconsistent:
+            self._project_moved()
+            self.fail()
+            return FAILED
+        except ValueError:
+            if not self._project_moved():
+                # A repair found the store inconsistent before the overflow.
+                self.fail()
+                return FAILED
+            raise
+        finally:
+            queue.extend(sums)
+            self._sums = queue
+            self._lo = self._hi = self._moved = None
+
+    def _fixpoint(self) -> str:
+        queue, sums, queued = self._queue, self._sums, self._queued
+        constraints, stats, moved = self.constraints, self.stats, self._moved
         waiting: dict[int, DivisorStraddlesZero] = {}
         writes = -1
         while True:
-            while queue:
-                idx = queue.popleft()
-                self._queued[idx] = False
-                self.stats["wakes"] += 1
-                c = self.constraints[idx]
+            while True:
+                if queue:
+                    idx = queue.popleft()
+                elif sums:
+                    idx = sums.popleft()
+                elif moved:
+                    self._project(moved.pop())
+                    continue
+                else:
+                    break
+                queued[idx] = False
+                stats["wakes"] += 1
+                c = constraints[idx]
                 try:
                     _KINDS[c.kind][1](self, *c.args)
-                except Inconsistent:
-                    self.fail()
-                    return FAILED
                 except DivisorStraddlesZero as exc:
                     waiting[idx] = exc
                 except ValueError:
-                    self._queued[idx] = True
-                    queue.appendleft(idx)
+                    queued[idx] = True
+                    self._queue_of(idx).appendleft(idx)
                     for other in waiting:
                         self._enqueue(other)
                     raise
             if not waiting:
                 return CONSISTENT
-            if self.stats["prunes"] == writes:
+            if stats["prunes"] == writes:
                 # The set-aside constraints ran again on unchanged domains.
                 for other in reversed(waiting):
-                    self._queued[other] = True
+                    queued[other] = True
                     queue.appendleft(other)
                 raise next(iter(waiting.values()))
-            writes = self.stats["prunes"]
+            writes = stats["prunes"]
             for other in waiting:
                 self._enqueue(other)
             waiting.clear()
 
-    def _slide_to(self, vid: int, bounds: tuple[float, float]) -> None:
-        # Fast exit for the common fixpoint case where nothing contracts.
-        lo, hi = bounds
+    def _project(self, vid: int) -> PboxInterval:
+        # Re-anchors vid's cdf points onto its bounds and repairs dominance.
         d = self.domains[vid]
-        if lo <= d.lo.q and hi >= d.hi.q:
+        lo, hi = self._lo[vid], self._hi[vid]
+        d = self.domains[vid] = repair_dominance(PboxInterval(anchor(d.lo, lo), anchor(d.hi, hi)))
+        if d.lo.q != lo or d.hi.q != hi:
+            self._lo[vid] = d.lo.q
+            self._hi[vid] = d.hi.q
+            self._wake(vid)
+        return d
+
+    def _project_moved(self) -> bool:
+        # On an early exit: projects every moved variable; False if a repair
+        # failed, and that variable keeps its last projected domain.
+        moved = self._moved
+        ok = True
+        while moved:
+            try:
+                self._project(moved.pop())
+            except Inconsistent:
+                ok = False
+        return ok
+
+    def _domain(self, vid: int) -> PboxInterval:
+        # vid's domain, projected onto its current bounds.
+        if vid in self._moved:
+            self._moved.remove(vid)
+            return self._project(vid)
+        return self.domains[vid]
+
+    def _narrow(self, vid: int, lo: float, hi: float) -> None:
+        # Intersects vid's bounds with [lo, hi].  A sub-tolerance inversion
+        # collapses to its midpoint; a move is written unless both bounds and
+        # the cdf values re-anchored onto them move by at most TOLERANCE.
+        cur_lo, cur_hi = self._lo[vid], self._hi[vid]
+        if lo <= cur_lo and hi >= cur_hi:
             return
-        self._update(vid, slide(d, checked(lo, hi)))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"interval arithmetic overflowed to [{lo!r}, {hi!r}]")
+        new_lo = lo if lo > cur_lo else cur_lo
+        new_hi = hi if hi < cur_hi else cur_hi
+        if new_lo > new_hi:
+            if new_lo - new_hi > TOLERANCE:
+                raise Inconsistent(
+                    f"quantile ranges [{cur_lo!r}, {cur_hi!r}] and [{lo!r}, {hi!r}] "
+                    "are disjoint"
+                )
+            new_lo = new_hi = 0.5 * (new_lo + new_hi)
+        if abs(new_lo - cur_lo) <= TOLERANCE and abs(new_hi - cur_hi) <= TOLERANCE:
+            d = self.domains[vid]
+            if (
+                abs(anchor(d.lo, new_lo).f - anchor(d.lo, cur_lo).f) <= TOLERANCE
+                and abs(anchor(d.hi, new_hi).f - anchor(d.hi, cur_hi).f) <= TOLERANCE
+            ):
+                return
+        self._lo[vid] = new_lo
+        self._hi[vid] = new_hi
+        self._moved.add(vid)
+        self._wake(vid)
+
+    # eq and leq exchange cdf lines, so they read projected domains.
 
     def _prop_eq(self, x: int, y: int) -> None:
-        merged = meet(self.domains[x], self.domains[y])
+        merged = meet(self._domain(x), self._domain(y))
         self._update(x, merged)
         self._update(y, merged)
 
@@ -251,8 +389,8 @@ class DomainStore:
         # x borrow y's lower cdf line and y borrow x's upper one.  Unlike
         # meet, a sub-tolerance inversion collapses onto the bound that is
         # kept, not onto the midpoint.
-        dx = self.domains[x]
-        dy = self.domains[y]
+        dx = self._domain(x)
+        dy = self._domain(y)
 
         x_hi_q = min(dx.hi.q, dy.hi.q)
         if dx.lo.q > x_hi_q:
@@ -274,7 +412,7 @@ class DomainStore:
         self._update(y, repair_dominance(PboxInterval(anchor(up_y, y_lo_q), dy.hi)))
 
     # The arithmetic propagators project x op y = z onto each variable in
-    # turn, always reading the domains left by the previous projection.
+    # turn, always reading the bounds left by the previous projection.
 
     def _prop_add(self, *args: int) -> None:
         # x1 + ... + xn = z in O(n): z takes the left-to-right sum S of the
@@ -287,7 +425,7 @@ class DomainStore:
         # k's new lower bound is hi_k - (S_hi - z_lo), so it moves only if its
         # width w_k exceeds S_hi - z_lo; likewise for the upper bound with
         # z_hi - S_lo.  When wmax + margin < min(S_hi - z_lo, z_hi - S_lo),
-        # the backward pass would slide no term, so it is skipped.
+        # the backward pass would narrow no term, so it is skipped.
         #
         # Margin.  Let B = max(hi, -lo) over the terms and z, which bounds
         # |lo| and |hi| as lo <= hi, and u = 2^-53.  Each float sum here (S,
@@ -301,19 +439,18 @@ class DomainStore:
         # The test also requires (n+1)*B < 2^1020 (margin < 2^970): then no
         # sum overflows, and a non-finite S or slack never skips.
         #
-        # z is read after its slide.  If z is also a term and the slide moved
-        # it, S cut one of its old bounds, so that side's slack is below z's
-        # old width and the test fails: a skip sees the terms the backward
-        # pass would read.
-        d = self.domains
+        # z is read after its narrowing.  If z is also a term and it moved,
+        # S cut one of its old bounds, so that side's slack is below z's old
+        # width and the test fails: a skip sees the terms the backward pass
+        # would read.
+        los, his = self._lo, self._hi
         n = len(args) - 1
-        dt = d[args[0]]
-        lo, hi = dt.lo.q, dt.hi.q
+        x = args[0]
+        lo, hi = los[x], his[x]
         wmax = hi - lo
         big = hi if hi > -lo else -lo
         for x in args[1:n]:
-            dt = d[x]
-            t_lo, t_hi = dt.lo.q, dt.hi.q
+            t_lo, t_hi = los[x], his[x]
             lo += t_lo
             hi += t_hi
             if t_hi - t_lo > wmax:
@@ -323,9 +460,8 @@ class DomainStore:
             if -t_lo > big:
                 big = -t_lo
         z = args[n]
-        self._slide_to(z, (lo, hi))
-        dz = d[z]
-        z_lo, z_hi = dz.lo.q, dz.hi.q
+        self._narrow(z, lo, hi)
+        z_lo, z_hi = los[z], his[z]
         if z_hi > big:
             big = z_hi
         if -z_lo > big:
@@ -338,52 +474,49 @@ class DomainStore:
         lo, hi = z_lo, z_hi
         rests = [(lo, hi)]
         for i in range(n - 1, 0, -1):
-            dt = d[args[i]]
-            lo -= dt.hi.q
-            hi -= dt.lo.q
+            x = args[i]
+            lo -= his[x]
+            hi -= los[x]
             rests.append((lo, hi))
         for i, x in enumerate(args[:n]):
             lo, hi = rests.pop()
             if i:
                 lo -= p_hi
                 hi -= p_lo
-            dt = d[x]
-            # The contraction test of _slide_to, inlined: this loop is hot.
-            if not (lo <= dt.lo.q and hi >= dt.hi.q):
-                self._update(x, slide(dt, checked(lo, hi)))
-                dt = d[x]
+            t_lo, t_hi = los[x], his[x]
+            # The contraction test of _narrow, inlined: this loop is hot.
+            if not (lo <= t_lo and hi >= t_hi):
+                self._narrow(x, lo, hi)
+                t_lo, t_hi = los[x], his[x]
             if i:
-                p_lo += dt.lo.q
-                p_hi += dt.hi.q
+                p_lo += t_lo
+                p_hi += t_hi
             else:
-                p_lo, p_hi = dt.lo.q, dt.hi.q
+                p_lo, p_hi = t_lo, t_hi
 
     def _prop_mul(self, x: int, y: int, z: int) -> None:
         # Reverse projections over a zero-straddling factor are skipped,
         # which is sound but weaker.
-        d = self.domains
-        dx, dy = d[x], d[y]
-        self._slide_to(z, mul_bounds(dx.lo.q, dx.hi.q, dy.lo.q, dy.hi.q))
-        dy = d[y]
-        if dy.lo.q <= 0.0 <= dy.hi.q:
+        los, his = self._lo, self._hi
+        self._narrow(z, *mul_bounds(los[x], his[x], los[y], his[y]))
+        y_lo, y_hi = los[y], his[y]
+        if y_lo <= 0.0 <= y_hi:
             self.stats["skipped_div_projections"] += 1
         else:
-            dz = d[z]
-            self._slide_to(x, div_bounds(dz.lo.q, dz.hi.q, dy.lo.q, dy.hi.q))
-        dx = d[x]
-        if dx.lo.q <= 0.0 <= dx.hi.q:
+            self._narrow(x, *div_bounds(los[z], his[z], y_lo, y_hi))
+        x_lo, x_hi = los[x], his[x]
+        if x_lo <= 0.0 <= x_hi:
             self.stats["skipped_div_projections"] += 1
         else:
-            dz = d[z]
-            self._slide_to(y, div_bounds(dz.lo.q, dz.hi.q, dx.lo.q, dx.hi.q))
+            self._narrow(y, *div_bounds(los[z], his[z], x_lo, x_hi))
 
     def _prop_div(self, x: int, y: int, z: int) -> None:
         # A zero-straddling divisor raises before any projection, and
         # propagate sets the constraint aside until the fixpoint; otherwise
         # x / y = z runs as the product z * y = x.
-        dy = self.domains[y]
-        if dy.lo.q <= 0.0 <= dy.hi.q:
-            raise DivisorStraddlesZero(f"divisor range [{dy.lo.q!r}, {dy.hi.q!r}] contains zero")
+        y_lo, y_hi = self._lo[y], self._hi[y]
+        if y_lo <= 0.0 <= y_hi:
+            raise DivisorStraddlesZero(f"divisor range [{y_lo!r}, {y_hi!r}] contains zero")
         self._prop_mul(z, y, x)
 
 

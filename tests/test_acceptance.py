@@ -251,7 +251,7 @@ def test_criterion_7_tractability(bench_reports):
     t_pbox = pbox_24["timing"]["wall_time_s"]
     t_convex = convex_24["timing"]["wall_time_s"]
     assert t_pbox <= 2.0 * t_convex
-    assert t_pbox + t_convex <= 60.0
+    assert t_pbox + t_convex <= 20.0
     for report in bench_reports:
         times = [row["timing"]["wall_time_s"] for row in report["rows"]]
         assert times == sorted(times)

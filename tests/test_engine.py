@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pboxcdf import engine
-from pboxcdf.arith import add_bounds, checked, div_bounds, mul_bounds, slide, sub_bounds
+from pboxcdf.arith import add_bounds, div_bounds, mul_bounds, sub_bounds
 from pboxcdf.engine import (
     CONSISTENT,
     FAILED,
@@ -150,17 +150,13 @@ class TestEquality:
 def _three_step_div(store, x, y, z):
     """The former ``div`` propagator, kept as a reference: z, then x, then y,
     with its own zero checks."""
-    d = store.domains
-    dx, dy = d[x], d[y]
-    store._slide_to(z, div_bounds(dx.lo.q, dx.hi.q, dy.lo.q, dy.hi.q))
-    dz, dy = d[z], d[y]
-    store._slide_to(x, mul_bounds(dz.lo.q, dz.hi.q, dy.lo.q, dy.hi.q))
-    dz = d[z]
-    if dz.lo.q <= 0.0 <= dz.hi.q:
+    los, his = store._lo, store._hi
+    store._narrow(z, *div_bounds(los[x], his[x], los[y], his[y]))
+    store._narrow(x, *mul_bounds(los[z], his[z], los[y], his[y]))
+    if los[z] <= 0.0 <= his[z]:
         store.stats["skipped_div_projections"] += 1
     else:
-        dx = d[x]
-        store._slide_to(y, div_bounds(dx.lo.q, dx.hi.q, dz.lo.q, dz.hi.q))
+        store._narrow(y, *div_bounds(los[x], his[x], los[z], his[z]))
 
 
 _FORWARD = {"add": add_bounds, "sub": sub_bounds, "mul": mul_bounds, "div": div_bounds}
@@ -345,30 +341,24 @@ class TestTernary:
 def _full_pass_add(store, *args):
     """The former ``add`` propagator, kept as a reference: every wake runs the
     whole backward pass, through arith's bound formulas, with no slack test."""
-    d = store.domains
+    los, his = store._lo, store._hi
     n = len(args) - 1
-    dt = d[args[0]]
-    lo, hi = dt.lo.q, dt.hi.q
+    lo, hi = los[args[0]], his[args[0]]
     for i in range(1, n):
-        dt = d[args[i]]
-        lo, hi = add_bounds(lo, hi, dt.lo.q, dt.hi.q)
-    store._slide_to(args[n], (lo, hi))
-    dz = d[args[n]]
-    lo, hi = dz.lo.q, dz.hi.q
+        lo, hi = add_bounds(lo, hi, los[args[i]], his[args[i]])
+    store._narrow(args[n], lo, hi)
+    lo, hi = los[args[n]], his[args[n]]
     rests = [(lo, hi)]
     for i in range(n - 1, 0, -1):
-        dt = d[args[i]]
-        lo, hi = sub_bounds(lo, hi, dt.lo.q, dt.hi.q)
+        lo, hi = sub_bounds(lo, hi, los[args[i]], his[args[i]])
         rests.append((lo, hi))
     for i, x in enumerate(args[:n]):
         lo, hi = rests.pop()
         if i:
             lo, hi = sub_bounds(lo, hi, p_lo, p_hi)
-        dt = d[x]
-        if not (lo <= dt.lo.q and hi >= dt.hi.q):
-            store._update(x, slide(dt, checked(lo, hi)))
-            dt = d[x]
-        p_lo, p_hi = add_bounds(p_lo, p_hi, dt.lo.q, dt.hi.q) if i else (dt.lo.q, dt.hi.q)
+        if not (lo <= los[x] and hi >= his[x]):
+            store._narrow(x, lo, hi)
+        p_lo, p_hi = add_bounds(p_lo, p_hi, los[x], his[x]) if i else (los[x], his[x])
 
 
 def _stretched(d, lo, hi):
@@ -560,6 +550,37 @@ class TestLinearSum:
         assert woken == len(posted)
         assert store.stats["skipped_add_passes"] - before["skipped_add_passes"] == woken
 
+    def test_sum_fed_by_binary_chain_runs_once_per_propagate(self, monkeypatch):
+        # Every link of a chain of binary adds is a term of a 4-term sum, and
+        # each link's move wakes the sum.  The sum waits until the chain has
+        # settled, so it runs once per propagate, though it was posted first.
+        runs = []
+
+        def counting_add(store, *args):
+            if len(args) > 3:
+                runs[-1] += 1
+            DomainStore._prop_add(store, *args)
+
+        monkeypatch.setitem(engine._KINDS, "add", (3, counting_add))
+        store = DomainStore()
+        a = store.new_var((1.0, 2.0))
+        links = [store.new_var((-1e4, 1e4)) for _ in range(4)]
+        total = store.new_var((22.0, 24.0))
+        store.post(Constraint("add", (*links, total)))
+        prev = a
+        for link in links:
+            store.post(Constraint("add", (prev, a, link)))
+            prev = link
+        runs.append(0)
+        assert store.propagate() == CONSISTENT
+        assert [store.domains[v].hi.q for v in links] == [4.0, 6.0, 8.0, 10.0]
+        store.tighten(a, (1.5, 2.0))
+        runs.append(0)
+        assert store.propagate() == CONSISTENT
+        assert [store.domains[v].lo.q for v in links] == [3.0, 4.5, 6.0, 7.5]
+        assert runs == [1, 1]
+        assert store.domains[total] == convex_interval(22.0, 24.0)
+
 
 def _random_network(rng, n_vars=6, n_constraints=5):
     """Random constraint net over mixed domains; div avoided near zero."""
@@ -667,6 +688,41 @@ class TestPropagateFixpoint:
             for vp, vc in zip(ids_p, ids_c):
                 assert store_c.domains[vc].lo.q <= store_p.domains[vp].lo.q + 1e-9
                 assert store_c.domains[vc].hi.q >= store_p.domains[vp].hi.q - 1e-9
+
+    def test_failed_and_interrupted_runs_leave_projected_domains(self):
+        # x + y = z narrows the upper bounds of x and y, then a second
+        # constraint fails, sees a divisor that straddles zero, or overflows.
+        # The narrowed bounds are projected onto the cdf lines all the same.
+        # The expected domains come from an engine that slid the cdf points
+        # at every contraction.
+        x = PboxInterval(CdfPoint(10.0, 0.14, 0.016), CdfPoint(80.0, 0.49, 0.06))
+        y = PboxInterval(CdfPoint(20.0, 0.06, 0.025), CdfPoint(90.0, 0.9, 0.014))
+        narrowed = [
+            PboxInterval(CdfPoint(10.0, 0.14, 0.016), CdfPoint(40.0, 0.0, 0.06)),
+            PboxInterval(CdfPoint(20.0, 0.06, 0.025), CdfPoint(50.0, 0.33999999999999997, 0.014)),
+            convex_interval(40.0, 60.0),
+        ]
+        cases = [
+            # y - 0 = t with t in [55, 70] wipes out y.
+            ([point_mass(0.0), convex_interval(55.0, 70.0)], Constraint("sub", (1, 3, 4)), FAILED),
+            (
+                [convex_interval(1.0, 2.0), convex_interval(-1.0, 1.0), convex_interval(-10.0, 10.0)],
+                Constraint("div", (3, 4, 5)),
+                DivisorStraddlesZero,
+            ),
+            ([convex_interval(1e200, 2e200), convex_interval(0.0, 1.0)], Constraint("mul", (3, 3, 4)), ValueError),
+        ]
+        for extra, closing, outcome in cases:
+            store, _ = _store_with(x, y, convex_interval(40.0, 60.0), *extra)
+            store.post(Constraint("add", (0, 1, 2)))
+            store.post(closing)
+            if outcome == FAILED:
+                assert store.propagate() == FAILED
+            else:
+                with pytest.raises(outcome):
+                    store.propagate()
+                assert store.status == CONSISTENT
+            assert _bits(store.domains) == _bits(narrowed + extra)
 
 
 class TestCloneAndTighten:
