@@ -475,26 +475,36 @@ class ScheduleReport:
         }
 
 
-def robust_order_sizes(inputs: ModelInputs, schedule) -> list[float] | None:
-    """Cheapest order quantities that cover worst-case demand in every cycle.
+# Worst-case demand a cycle may leave uncovered, as rounding noise.
+_COVER_SLACK = 1e-12
 
-    Each cycle's worst-case demand is served first from initial stock, then
-    from the latest order point with spare capacity, which minimizes holding.
-    Returns None when the caps cannot cover some cycle.
+
+def _serve_latest_first(inputs: ModelInputs, schedule):
+    """Serve the worst-case demand of each cycle of ``schedule``, which may be
+    a prefix of the horizon, first from initial stock, then from the latest
+    order point with spare capacity, which minimizes holding.
+
+    Returns ``(alloc, spare, stock, holding)``: each cycle's allocated and
+    spare order capacity, the initial stock left over, and the holding of
+    the served demand in unit-cycles, a unit counting from its order's cycle
+    (initial stock from cycle 0) to the cycle that consumes it.  Returns
+    None when the caps cannot cover some cycle.
     """
     inst = inputs.inst
     worst = inputs.worst
-    alloc = [0.0] * inst.horizon
+    alloc = [0.0] * len(schedule)
     spare = [inst.x_max if flag else 0.0 for flag in schedule]
     stock = inst.initial_stock
+    holding = 0.0
     points: list[int] = []
-    for t in range(inst.horizon):
+    for t in range(len(schedule)):
         if schedule[t]:
             points.append(t)
         need = worst[t]
         take = min(stock, need)
         stock -= take
         need -= take
+        holding += t * take
         for p in reversed(points):
             if need <= 0.0:
                 break
@@ -502,11 +512,25 @@ def robust_order_sizes(inputs: ModelInputs, schedule) -> list[float] | None:
             alloc[p] += take
             spare[p] -= take
             need -= take
-        if need > 1e-12:
+            holding += (t - p) * take
+        if need > _COVER_SLACK:
             return None
-    for t in range(inst.horizon):
-        if schedule[t] and alloc[t] < inst.x_min:
-            alloc[t] = inst.x_min
+    return alloc, spare, stock, holding
+
+
+def robust_order_sizes(inputs: ModelInputs, schedule) -> list[float] | None:
+    """Cheapest order quantities that cover worst-case demand in every cycle,
+    allocated by :func:`_serve_latest_first` and raised to ``x_min``.
+    Returns None when the caps cannot cover some cycle.
+    """
+    served = _serve_latest_first(inputs, schedule)
+    if served is None:
+        return None
+    alloc = served[0]
+    x_min = inputs.inst.x_min
+    for t, flag in enumerate(schedule):
+        if flag and alloc[t] < x_min:
+            alloc[t] = x_min
     return alloc
 
 
@@ -600,25 +624,45 @@ def _schedule_key(tc_lo: float, schedule: tuple[bool, ...]):
 class _Searcher:
     """Depth-first branch and bound over the replenishment flags.
 
-    Cycles are decided left to right, the no-order branch first.  The relaxed
-    store bounds the cost of every completion from below, so a branch is
-    abandoned once that bound exceeds the incumbent's.  Full schedules are
-    scored on the resolved store with robust order sizes; schedules whose
-    caps cannot cover worst-case demand are infeasible.  The incumbent keeps
-    its resolved report fields, so :meth:`result` only adds the relaxed
-    network's cost to complete the winner's report.
+    Cycles are decided left to right, the no-order branch first.  Two lower
+    bounds on the resolved cost of every completion are taken at each node:
+    the relaxed store's total cost and the lot-sizing bound of
+    :meth:`_node_bound`.  A branch is abandoned once no completion can cover
+    worst-case demand or the larger bound exceeds the incumbent's cost.  Full
+    schedules are scored on the resolved store with robust order sizes;
+    schedules whose caps cannot cover worst-case demand are infeasible.  The
+    incumbent keeps its resolved report fields, so :meth:`result` only adds
+    the relaxed network's cost to complete the winner's report.
     """
 
     def __init__(self, inputs: ModelInputs):
         inst = inputs.inst
+        n = inst.horizon
         self.inputs = inputs
         self.inst = inst
-        self.h_lo = inputs.holding_cost.lo.q
         self.worst = inputs.worst
-        self.rest_worst = [0.0] * (inst.horizon + 1)
-        for t in range(inst.horizon - 1, -1, -1):
-            self.rest_worst[t] = self.rest_worst[t + 1] + self.worst[t]
-        self._cost_to_go = self._min_future_overhead()
+        self.a_lo = inputs.ordering_cost.lo.q
+        self.h_lo = inputs.holding_cost.lo.q
+        v_lo = inputs.unit_cost.lo.q
+        self.purchase_lo = v_lo * max(0.0, sum(self.worst) - inst.initial_stock)
+        # Rounding margins of _node_bound.  Let u = 2^-53.  Every quantity
+        # there (demand, stock, order capacity, R, pool) lies in [0, B_q],
+        # and every cost term in [0, B].  Each float value is formed by at
+        # most (n+2)^2 roundings over terms whose magnitudes sum to at most
+        # (n+2)*B, so it is within (n+2)^3*u*B of its exact value; the
+        # resolved store's tc.lo.q, a forward sum over the same cycles, is
+        # too.  The cost margin 4*(n+2)^3*2^-52*B is four times the two
+        # errors together.  Covering also leaves up to _COVER_SLACK of each
+        # cycle's demand unserved, so a covered completion may need up to
+        # n*_COVER_SLACK more than the decided supply and pay up to
+        # (v_lo + h_lo*n) per unit less for it; the cap on R and the cost
+        # margin include that.
+        b_q = inst.initial_stock + sum(self.worst) + n * inst.x_max
+        b = self.a_lo * n + (v_lo + 2.0 * self.h_lo * n) * b_q
+        ulps = 4.0 * (n + 2) ** 3 * 2.0**-52
+        self._cap_slack = ulps * b_q + n * _COVER_SLACK
+        self._margin = ulps * b + (v_lo + self.h_lo * n) * n * _COVER_SLACK
+        self._open_costs = self._open_cost_table()
         self.nodes = 0
         self.clones = 0
         # The search's store counters, set from the root store by :meth:`run`.
@@ -628,29 +672,49 @@ class _Searcher:
         # The greedy seed's schedule, scored before the DFS reaches it.
         self.seed = None
 
-    def _min_future_overhead(self) -> list[float]:
-        # dp[i]: cheapest ordering-plus-holding charge that can cover
-        # worst-case demand of cycles i.. with no entry stock; the purchase
-        # part is excluded since the total-order floor already prices it.
+    def _open_cost_table(self) -> list[list[tuple[float, float]]]:
+        # table[d]: (R, c) pairs over the order choices of the open cycles
+        # d..n-1, walked backwards over their worst demands (Wagner & Whitin,
+        # Management Science 1958; Florian & Klein, 1971).  R is the demand
+        # not yet supplied; an order at cycle q takes u_q = min(x_max, R),
+        # which for these order cycles leaves the least R to earlier supply
+        # and holds the least.  c = a_lo*orders + h_lo*(sum_{t>=d} t*w_t -
+        # sum_q q*u_q) prices ordering and the holding of every open
+        # demand, the R left over held from cycle 0; supply from cycle p
+        # holds h_lo*p*R less.  With p <= d - 1 at depth d, a pair is kept
+        # only if no pair with R no larger has a lower c - h_lo*(d-1)*R:
+        # that one is then no dearer at any p <= d - 1 under any cap, and a
+        # later step keeps it so.  One dict, keyed by R, rolls over q.
         n = self.inst.horizon
-        a_lo = self.inputs.ordering_cost.lo.q
-        h_lo = self.h_lo
-        dp = [math.inf] * (n + 1)
-        dp[n] = 0.0
-        for i in range(n - 1, -1, -1):
-            total = 0.0
-            hold = 0.0
-            for length in range(1, n - i + 1):
-                j = i + length - 1
-                total += self.worst[j]
-                if total > self.inst.x_max:
-                    break
-                if length > 1:
-                    hold += self.worst[j] * (length - 1)
-                cand = a_lo + h_lo * hold + dp[i + length]
-                if cand < dp[i]:
-                    dp[i] = cand
-        return dp
+        a_lo, h_lo, x_max = self.a_lo, self.h_lo, self.inst.x_max
+        table: list[list[tuple[float, float]]] = [[] for _ in range(n + 1)]
+        table[n] = [(0.0, 0.0)]
+        states = {0.0: 0.0}
+        for q in range(n - 1, -1, -1):
+            w = self.worst[q]
+            held = h_lo * q * w
+            rolled: dict[float, float] = {}
+            for r, c in states.items():
+                r += w
+                c += held
+                if c < rolled.get(r, math.inf):
+                    rolled[r] = c
+                u = min(x_max, r)
+                r -= u
+                c += a_lo - h_lo * q * u
+                if c < rolled.get(r, math.inf):
+                    rolled[r] = c
+            credit = h_lo * max(q - 1, 0)
+            kept = []
+            best = math.inf
+            for r in sorted(rolled):
+                c = rolled[r]
+                if c - credit * r < best:
+                    best = c - credit * r
+                    kept.append((r, c))
+            table[q] = kept
+            states = dict(kept)
+        return table
 
     def _greedy_schedule(self) -> tuple[bool, ...] | None:
         # Densest span packing: order as rarely as the caps allow.
@@ -745,48 +809,49 @@ class _Searcher:
             self.stats[key] += count - before[key]
         return status
 
-    def _coverable(self, path: list[bool]) -> bool:
-        # Optimistically order in every undecided cycle; if even that cannot
-        # cover worst-case demand the subtree is hopeless.
-        rest = self.inst.horizon - len(path)
-        return robust_order_sizes(self.inputs, path + [True] * rest) is not None
-
-    def _node_bound(self, store: DomainStore, mv: ModelVars, path: list[bool]) -> float:
-        # Relaxed total cost plus an admissible floor on future overhead.
-        # Cycles up to some split point may be served from carried stock, but
-        # a unit consumed at cycle m then sits in stock for m - depth future
-        # cycle ends; past the split the static cost-to-go table charges
-        # ordering and in-span holding.  Neither part is visible to the
-        # relaxed store, whose open cycles hold no stock and no orders.
-        depth = len(path)
-        bound = store.domains[mv.tc].lo.q
-        n = self.inst.horizon
-        if self.rest_worst[depth] <= 0.0:
-            return bound
-        h_lo = self.h_lo
-        carry_cost = 0.0
-        floor = self._cost_to_go[depth]
-        for c in range(depth, n):
-            carry_cost += h_lo * (c - depth) * self.worst[c]
-            if carry_cost >= floor:
+    def _node_bound(self, path: list[bool]) -> float:
+        # A lower bound on the resolved cost of every completion of ``path``;
+        # inf when none can be covered.  The decided cycles are served
+        # exactly as robust_order_sizes serves them.  Their orders' spare
+        # capacity and the initial stock left over then cap the R of the
+        # open cycles' table entries, and the latest decided order, at p (0
+        # without one), is the latest cycle that supply can come from.
+        served = _serve_latest_first(self.inputs, path)
+        if served is None:
+            return math.inf
+        _, spare, stock, holding = served
+        cap = sum(spare) + stock + self._cap_slack
+        p = max((t for t, flag in enumerate(path) if flag), default=0)
+        credit = self.h_lo * p
+        future = math.inf
+        for r, c in self._open_costs[len(path)]:
+            if r > cap:
                 break
-            cand = carry_cost + self._cost_to_go[c + 1]
-            if cand < floor:
-                floor = cand
-        return bound + floor if math.isfinite(floor) else math.inf
+            if c - credit * r < future:
+                future = c - credit * r
+        return (
+            self.a_lo * sum(path)
+            + self.purchase_lo
+            + self.h_lo * holding
+            + future
+            - self._margin
+        )
 
     def _survives(self, store: DomainStore, mv: ModelVars, path: list[bool]) -> bool:
-        # Counts a consistent node; False once its bound exceeds the incumbent.
+        # Counts a consistent node; False once no completion can be covered
+        # or the larger of the relaxed total cost and the lot-sizing bound
+        # exceeds the incumbent.
         self.nodes += 1
-        return not (
-            self.incumbent is not None
-            and self._node_bound(store, mv, path) > self.incumbent[1] + TOLERANCE
-        )
+        bound = self._node_bound(path)
+        if bound == math.inf:
+            return False
+        if self.incumbent is None:
+            return True
+        bound = max(store.domains[mv.tc].lo.q, bound)
+        return not bound > self.incumbent[1] + TOLERANCE
 
     def _dfs(self, store: DomainStore, mv: ModelVars, path: list[bool]) -> None:
         # Branches on the next cycle of a surviving partial schedule.
-        if not self._coverable(path):
-            return
         depth = len(path)
         for flag in (False, True):
             child = store.clone()

@@ -6,6 +6,7 @@ lines alongside the pytest output.
 
 import json
 import random
+import time
 from itertools import product
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 from pboxcdf.arith import QuantileInterval, slide
 from pboxcdf.engine import CONSISTENT, FAILED, Constraint, DomainStore
-from pboxcdf.inventory import evaluate_schedule, run_benchmark, search
+from pboxcdf.inventory import default_instance, evaluate_schedule, run_benchmark, search
 from pboxcdf.pbox import (
     CdfPoint,
     Inconsistent,
@@ -244,20 +245,35 @@ def test_criterion_6_containment_and_cdf_tightening(bench_reports):
     )
 
 
+def _best_time(inst, model, runs=5):
+    # The least wall time of ``runs`` searches of ``inst``.
+    times = []
+    for _ in range(runs):
+        started = time.perf_counter()
+        search(inst, mode=model)
+        times.append(time.perf_counter() - started)
+    return min(times)
+
+
 def test_criterion_7_tractability(bench_reports):
     pbox_report, convex_report = bench_reports
     pbox_24 = next(r for r in pbox_report["rows"] if r["horizon"] == 24)
     convex_24 = next(r for r in convex_report["rows"] if r["horizon"] == 24)
-    t_pbox = pbox_24["timing"]["wall_time_s"]
-    t_convex = convex_24["timing"]["wall_time_s"]
+    assert pbox_24["timing"]["wall_time_s"] + convex_24["timing"]["wall_time_s"] <= 2.0
+    # A search takes milliseconds, so one timing can be out of order by
+    # noise alone; the ratio and the ordering compare best-of-5 times.
+    best = {
+        model: [_best_time(default_instance(h, 42), model) for h in (7, 10, 24)]
+        for model in ("pbox", "convex")
+    }
+    t_pbox, t_convex = best["pbox"][-1], best["convex"][-1]
     assert t_pbox <= 2.0 * t_convex
-    assert t_pbox + t_convex <= 20.0
-    for report in bench_reports:
-        times = [row["timing"]["wall_time_s"] for row in report["rows"]]
+    for times in best.values():
         assert times == sorted(times)
     _verdict(
         "criterion 7 tractability",
-        f"t=24 pbox {t_pbox:.2f}s vs convex {t_convex:.2f}s, ratio {t_pbox / t_convex:.2f}",
+        f"t=24 pbox {t_pbox * 1e3:.1f}ms vs convex {t_convex * 1e3:.1f}ms (best of 5), "
+        f"ratio {t_pbox / t_convex:.2f}",
     )
 
 
