@@ -3,9 +3,9 @@
 A horizon of demand cycles is modelled as a constraint network: per-cycle
 order and stock variables tied by flow balance, cost terms accumulated into
 a total cost, and non-negativity as quantile lower bounds.  Search decides
-the boolean replenishment schedule by depth-first branch and bound; order
-quantities stay interval-valued during search and are pinned to the
-cheapest worst-case-covering sizes for reporting.
+the boolean replenishment schedule by depth-first branch and bound on a
+lot-sizing bound; each full schedule's network is propagated with its
+orders pinned to the cheapest worst-case-covering sizes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .pbox import (
     upper_at,
 )
 from .arith import QuantileInterval, add_bounds, checked, mul_bounds, slide
-from .engine import CONSISTENT, FAILED, Constraint, DomainStore
+from .engine import FAILED, Constraint, DomainStore
 
 MODES = ("pbox", "convex")
 
@@ -338,17 +338,6 @@ def _post_product(store: DomainStore, price: int, quantity: int, name: str) -> i
     return cost
 
 
-def _cycle_domains(inputs: ModelInputs, decided) -> tuple[PboxInterval, PboxInterval]:
-    """Order and ordering-cost domains of a cycle: a true flag orders in [x_min,
-    x_max] at the ordering cost, a false one nothing, None leaves both open."""
-    inst, cost = inputs.inst, inputs.ordering_cost
-    if decided is None:
-        return convex_interval(0.0, inst.x_max), convex_interval(0.0, cost.hi.q)
-    if decided:
-        return convex_interval(inst.x_min, inst.x_max), cost
-    return point_mass(0.0), point_mass(0.0)
-
-
 def build_model(
     inputs: ModelInputs, schedule, order_sizes=None
 ) -> tuple[DomainStore, ModelVars]:
@@ -363,9 +352,9 @@ def build_model(
     stock and orders are non-negative, and over non-negative intervals
     multiplication distributes over addition exactly, so the per-cycle
     products would add no bound.  A floor on the total orders prices
-    purchase into the cost lower bound used for pruning.
+    purchase into the total cost's lower bound.
     """
-    inst = inputs.inst
+    inst, cost = inputs.inst, inputs.ordering_cost
     if len(schedule) != inst.horizon:
         raise ValueError(f"schedule length {len(schedule)} != horizon {inst.horizon}")
     if order_sizes is not None and len(order_sizes) != inst.horizon:
@@ -384,9 +373,14 @@ def build_model(
         d_t = store.new_var(inputs.demands[t], name=f"demand{cyc}")
         mv.demand.append(d_t)
 
-        x_dom, a_dom = _cycle_domains(inputs, schedule[t])
-        if order_sizes is not None and schedule[t]:
-            x_dom = point_mass(order_sizes[t])
+        if schedule[t] is None:
+            x_dom, a_dom = convex_interval(0.0, inst.x_max), convex_interval(0.0, cost.hi.q)
+        elif not schedule[t]:
+            x_dom, a_dom = point_mass(0.0), point_mass(0.0)
+        elif order_sizes is not None:
+            x_dom, a_dom = point_mass(order_sizes[t]), cost
+        else:
+            x_dom, a_dom = convex_interval(inst.x_min, inst.x_max), cost
         x_t = store.new_var(x_dom, name=f"order{cyc}")
         a_t = store.new_var(a_dom, name=f"ordering_cost{cyc}")
         mv.order.append(x_t)
@@ -599,9 +593,8 @@ class SearchResult:
     status: str  # "optimal" or "infeasible"
     best: ScheduleReport | None
     nodes: int
-    clones: int
-    # Store counters of the search: the root store's propagation plus what
-    # each node adds while fixing its flag.
+    clones: int  # Always 0: the search clones no store.
+    # Store counters of the search: the sum over every leaf it re-solved.
     stats: dict
     wall_time_s: float
 
@@ -624,15 +617,15 @@ def _schedule_key(tc_lo: float, schedule: tuple[bool, ...]):
 class _Searcher:
     """Depth-first branch and bound over the replenishment flags.
 
-    Cycles are decided left to right, the no-order branch first.  Two lower
-    bounds on the resolved cost of every completion are taken at each node:
-    the relaxed store's total cost and the lot-sizing bound of
-    :meth:`_node_bound`.  A branch is abandoned once no completion can cover
-    worst-case demand or the larger bound exceeds the incumbent's cost.  Full
-    schedules are scored on the resolved store with robust order sizes;
-    schedules whose caps cannot cover worst-case demand are infeasible.  The
-    incumbent keeps its resolved report fields, so :meth:`result` only adds
-    the relaxed network's cost to complete the winner's report.
+    Cycles are decided left to right, the no-order branch first.  A branch
+    is abandoned once the lot-sizing bound of :meth:`_node_bound`, a lower
+    bound on the resolved cost of every completion, is infinite (no
+    completion can cover worst-case demand) or exceeds the incumbent's cost.
+    The incumbent is seeded by a dive along that bound.  Full schedules are
+    scored on the resolved store with robust order sizes; schedules whose
+    caps cannot cover worst-case demand are infeasible.  The incumbent keeps
+    its resolved report fields, so :meth:`result` only adds the relaxed
+    network's cost to complete the winner's report.
     """
 
     def __init__(self, inputs: ModelInputs):
@@ -664,12 +657,11 @@ class _Searcher:
         self._margin = ulps * b + (v_lo + self.h_lo * n) * n * _COVER_SLACK
         self._open_costs = self._open_cost_table()
         self.nodes = 0
-        self.clones = 0
-        # The search's store counters, set from the root store by :meth:`run`.
-        self.stats: dict = {}
+        # The store counters of every leaf re-solve, summed.
+        self.stats = dict.fromkeys(DomainStore().stats, 0)
         # The best scored leaf as (schedule, tc.lo.q, resolved report fields).
         self.incumbent = None
-        # The greedy seed's schedule, scored before the DFS reaches it.
+        # The dive's schedule, scored before the DFS reaches it.
         self.seed = None
 
     def _open_cost_table(self) -> list[list[tuple[float, float]]]:
@@ -716,26 +708,17 @@ class _Searcher:
             states = dict(kept)
         return table
 
-    def _greedy_schedule(self) -> tuple[bool, ...] | None:
-        # Densest span packing: order as rarely as the caps allow.
-        schedule = [False] * self.inst.horizon
-        stock = self.inst.initial_stock
-        room = 0.0
-        for t in range(self.inst.horizon):
-            need = self.worst[t]
-            if stock >= need:
-                stock -= need
-                continue
-            need -= stock
-            stock = 0.0
-            if room >= need:
-                room -= need
-                continue
-            schedule[t] = True
-            room = self.inst.x_max - need
-            if room < 0.0:
+    def _dive(self) -> tuple[bool, ...] | None:
+        # From the root, the child with the smaller bound at each depth, no
+        # order on ties; None once both children are infinite.
+        path: list[bool] = []
+        for _ in range(self.inst.horizon):
+            off = self._node_bound([*path, False])
+            on = self._node_bound([*path, True])
+            if off == on == math.inf:
                 return None
-        return tuple(schedule)
+            path.append(on < off)
+        return tuple(path)
 
     def _score(self, schedule: tuple[bool, ...]) -> None:
         # A leaf costs one pinned build and propagation: once the caps cover
@@ -747,26 +730,20 @@ class _Searcher:
         fields = _resolve(self.inputs, schedule)
         if fields is None:
             return
+        for key in self.stats:
+            self.stats[key] += fields["stats"][key]
         tc_lo = fields["tc"].lo.q
         best = self.incumbent
         if best is None or _schedule_key(tc_lo, schedule) < _schedule_key(best[1], best[0]):
             self.incumbent = (schedule, tc_lo, fields)
 
-    def _seed_incumbent(self) -> None:
-        schedule = self._greedy_schedule()
-        if schedule is not None:
-            self._score(schedule)
-            self.seed = schedule
-
     def run(self) -> None:
-        store, mv = build_model(self.inputs, [None] * self.inst.horizon)
-        status = store.propagate()
-        self.stats = dict(store.stats)
-        if status == FAILED:
-            return
-        self._seed_incumbent()
-        if self._survives(store, mv, []):
-            self._dfs(store, mv, [])
+        seed = self._dive()
+        if seed is not None:
+            self._score(seed)
+            self.seed = seed
+        if self._survives([]):
+            self._dfs([])
 
     def result(self, started: float) -> SearchResult:
         """The search's counters and the winner's report."""
@@ -777,37 +754,10 @@ class _Searcher:
             status="optimal" if self.incumbent is not None else "infeasible",
             best=best,
             nodes=self.nodes,
-            clones=self.clones,
+            clones=0,
             stats=self.stats,
             wall_time_s=time.perf_counter() - started,
         )
-
-    def _fix(
-        self, store: DomainStore, mv: ModelVars, t: int, on: bool, path: list[bool]
-    ) -> str:
-        before = dict(store.stats)
-        x_dom, a_dom = _cycle_domains(self.inputs, on)
-        store.tighten(mv.order[t], x_dom)
-        store.tighten(mv.order_cost[t], a_dom)
-        if not on:
-            # Orders must meet demand up to the next replenishment, so the
-            # stock entering a no-order run covers the run's worst case.
-            # This is what prices consolidated holding into the bound.
-            required = self.worst[t]
-            j = t - 1
-            while j >= 0 and store.status == CONSISTENT:
-                d = store.domains[mv.stock[j]]
-                # A required stock above the range's top fails the meet.
-                if required > d.lo.q:
-                    store.tighten(mv.stock[j], (required, max(d.hi.q, required)))
-                if j >= len(path) or path[j]:
-                    break
-                required += self.worst[j]
-                j -= 1
-        status = store.propagate()
-        for key, count in store.stats.items():
-            self.stats[key] += count - before[key]
-        return status
 
     def _node_bound(self, path: list[bool]) -> float:
         # A lower bound on the resolved cost of every completion of ``path``;
@@ -837,35 +787,24 @@ class _Searcher:
             - self._margin
         )
 
-    def _survives(self, store: DomainStore, mv: ModelVars, path: list[bool]) -> bool:
-        # Counts a consistent node; False once no completion can be covered
-        # or the larger of the relaxed total cost and the lot-sizing bound
-        # exceeds the incumbent.
+    def _survives(self, path: list[bool]) -> bool:
+        # Counts a node; False once no completion can be covered or the
+        # lot-sizing bound exceeds the incumbent.
         self.nodes += 1
         bound = self._node_bound(path)
         if bound == math.inf:
             return False
-        if self.incumbent is None:
-            return True
-        bound = max(store.domains[mv.tc].lo.q, bound)
-        return not bound > self.incumbent[1] + TOLERANCE
+        return self.incumbent is None or not bound > self.incumbent[1] + TOLERANCE
 
-    def _dfs(self, store: DomainStore, mv: ModelVars, path: list[bool]) -> None:
+    def _dfs(self, path: list[bool]) -> None:
         # Branches on the next cycle of a surviving partial schedule.
         depth = len(path)
         for flag in (False, True):
-            child = store.clone()
-            self.clones += 1
-            if self._fix(child, mv, depth, flag, path) == FAILED:
-                continue
             path.append(flag)
-            if self._survives(child, mv, path):
+            if self._survives(path):
                 if depth + 1 < self.inst.horizon:
-                    self._dfs(child, mv, path)
+                    self._dfs(path)
                 else:
-                    # The leaf's relaxed store is done with; dropping it
-                    # before the pinned network is built lowers peak memory.
-                    del child
                     self._score(tuple(path))
             path.pop()
 
@@ -957,13 +896,14 @@ def run_benchmark(
 ) -> dict:
     """Timed search runs over seeded instances, one row per horizon.
 
-    Rows record wall time, allocation counters (domain writes and store
-    clones stand in for heap metrics) and the search's store counters
-    (``stats``; ``best.stats`` count the winner's pinned re-solve alone).
-    Under the p-box model each row also carries the convex evaluation of the
-    winning schedule and containment checks of the total-cost intervals.  A given ``instance`` replaces the
-    seeded ones: it runs once, and the report's horizons and order bounds are
-    its own, with no seed.
+    Rows record wall time, an allocation counter (domain writes stand in
+    for heap metrics) and the search's store counters (``stats``, summed
+    over every leaf it re-solved; ``best.stats`` count the winner's pinned
+    re-solve alone).  Under the p-box model each row also carries the
+    convex evaluation of the winning schedule and containment checks of the
+    total-cost intervals.  A given ``instance`` replaces the seeded ones: it
+    runs once, and the report's horizons and order bounds are its own, with
+    no seed.
     """
     if instance is not None:
         instances = [instance]
@@ -986,10 +926,7 @@ def run_benchmark(
             "seed": seed,
             "status": result.status,
             "nodes": result.nodes,
-            "alloc_counters": {
-                "store_clones": result.clones,
-                "domain_writes": result.stats["prunes"],
-            },
+            "alloc_counters": {"domain_writes": result.stats["prunes"]},
             "stats": result.stats,
             "timing": {"wall_time_s": elapsed},
         }

@@ -443,19 +443,26 @@ def _bound_instance(rng, max_horizon):
 
 
 def _prefix_bounds(inst, mode="pbox"):
-    """``{prefix: (bound, best)}`` over the whole schedule tree: the search's
-    lot-sizing bound and the least resolved ``tc.lo.q`` of the prefix's
-    completions, inf when the caps cover none of them."""
+    """``({prefix: (bound, best)}, winner)`` over the whole schedule tree: the
+    search's lot-sizing bound and the least resolved ``tc.lo.q`` of the
+    prefix's completions, inf when the caps cover none of them; and the
+    least ``(tc.lo.q, replenishments, schedule)`` of all leaves, None when
+    none is covered."""
     inputs = model_inputs(inst, mode)
     searcher = inventory._Searcher(inputs)
     best = {}
+    winner = None
     for flags in product((False, True), repeat=inst.horizon):
         fields = inventory._resolve(inputs, flags)
         best[flags] = math.inf if fields is None else fields["tc"].lo.q
+        if fields is not None:
+            key = (best[flags], sum(flags), flags)
+            winner = key if winner is None else min(winner, key)
     for depth in range(inst.horizon - 1, -1, -1):
         for flags in product((False, True), repeat=depth):
             best[flags] = min(best[flags + (False,)], best[flags + (True,)])
-    return {path: (searcher._node_bound(list(path)), b) for path, b in best.items()}
+    bounds = {path: (searcher._node_bound(list(path)), b) for path, b in best.items()}
+    return bounds, winner
 
 
 def bound_sweep(seed, instances, max_horizon):
@@ -463,12 +470,21 @@ def bound_sweep(seed, instances, max_horizon):
     instances, under both models in turn: it never exceeds the best
     completion, it is infinite exactly where no completion is covered, and
     it comes within 1e-6 of the best completion on at least a third of the
-    undecided prefixes that have one."""
+    undecided prefixes that have one.  Also checks that the search returns
+    the enumerated winner, or ``infeasible`` when no leaf is covered."""
     rng = random.Random(seed)
     tight = undecided = 0
     for k in range(instances):
         inst = _bound_instance(rng, max_horizon)
-        for path, (bound, best) in _prefix_bounds(inst, MODES[k % 2]).items():
+        bounds, winner = _prefix_bounds(inst, MODES[k % 2])
+        result = search(inst, MODES[k % 2])
+        if winner is None:
+            assert result.status == "infeasible", inst
+        else:
+            best = result.best
+            found = (best.tc.lo.q, best.replenishments, best.schedule)
+            assert found == winner, (inst, found, winner)
+        for path, (bound, best) in bounds.items():
             assert bound <= best, (inst, path, bound, best)
             assert (bound == math.inf) == (best == math.inf), (inst, path, bound)
             if len(path) < inst.horizon and best < math.inf:
@@ -489,7 +505,7 @@ class TestNodeBound:
         # serve them for 2 * 250 plus 56 * 2 holding (4 units carried from
         # cycle 1, 52 from cycle 2), so three orders (750) is no floor.
         inst = scalar_instance(3, [52.0] * 3, a=250.0, h=2.0, v=5.5, x_max=100.0)
-        bounds = _prefix_bounds(inst)
+        bounds, _ = _prefix_bounds(inst)
         for bound, best in bounds.values():
             assert bound <= best
         bound, best = bounds[()]
@@ -622,7 +638,7 @@ class TestSearch:
 
         monkeypatch.setattr(inventory, "_resolve", counting_resolve)
         monkeypatch.setattr(inventory, "evaluate_schedule", counting_evaluate)
-        # Seed 1 reaches the greedy seed's leaf, which is not the winner.
+        # The dive's leaf is the winner here, so the search reaches it again.
         result = search(default_instance(7, 1))
         assert result.best is not None
         assert evaluated == []
@@ -631,7 +647,7 @@ class TestSearch:
 
     def test_h24_seed_spread_models_agree(self):
         # Both models pick the same schedule over the same search tree at
-        # h24 under every seed from 0 to 9, in 47-116 nodes each (6 857-46 461
+        # h24 under every seed from 0 to 9, in 49-117 nodes each (6 857-46 461
         # with the span bound the lot-sizing bound replaced).
         for seed in range(10):
             inst = default_instance(24, seed)
@@ -639,6 +655,16 @@ class TestSearch:
             assert pbox.status == convex.status == "optimal"
             assert pbox.best.schedule == convex.best.schedule
             assert pbox.nodes == convex.nodes <= 200
+
+    def test_winners_match_golden_beyond_h24(self):
+        # Schedules and resolved total-cost lower bounds of the h48 and h96
+        # winners under both models, stored as JSON (which round-trips
+        # floats exactly).
+        golden = Path(__file__).parent / "data" / "search_winners_h48_h96.json"
+        for row in json.loads(golden.read_text()):
+            best = search(default_instance(row["horizon"], row["seed"]), row["model"]).best
+            assert "".join(str(int(flag)) for flag in best.schedule) == row["schedule"], row
+            assert best.tc.lo.q == row["tc_lo"], row
 
     @pytest.mark.parametrize("mode", ["pbox", "convex"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 42])
@@ -713,6 +739,26 @@ class TestInstanceIO:
             assert qs[4] == pytest.approx(mean + 2 * spread)
 
 
+def _spied_resolves(monkeypatch):
+    """The store counters of every leaf re-solved from now on, as a list
+    that fills as ``inventory._resolve`` runs."""
+    counters = []
+    real_resolve = inventory._resolve
+
+    def spy(inputs, schedule):
+        fields = real_resolve(inputs, schedule)
+        if fields is not None:
+            counters.append(fields["stats"])
+        return fields
+
+    monkeypatch.setattr(inventory, "_resolve", spy)
+    return counters
+
+
+def _summed(counters, keys):
+    return {key: sum(c[key] for c in counters) for key in keys}
+
+
 class TestBenchmark:
     def test_same_seed_same_report(self):
         first = run_benchmark([5], seed=7, model="pbox")
@@ -730,16 +776,25 @@ class TestBenchmark:
         assert 0.0 < f_low <= f_up < 1.0
         assert cont["cdf_tighter_than_convex"]
 
-    def test_domain_writes_count_the_search(self):
-        row = run_benchmark([7], seed=42, model="pbox")["rows"][0]
-        assert row["nodes"] > 1
-        assert row["alloc_counters"]["domain_writes"] > row["nodes"]
+    def test_domain_writes_count_the_search(self, monkeypatch):
+        # The search propagates only the leaves it re-solves, so its
+        # counters are theirs summed.  At h7, seed 4 re-solves more than one.
+        counters = _spied_resolves(monkeypatch)
+        result = search(default_instance(7, 4))
+        assert result.nodes > 1
+        assert len(counters) > 1
+        assert result.stats == _summed(counters, result.stats)
+        assert result.to_dict()["domain_writes"] == result.stats["prunes"]
 
-    def test_report_counts_skipped_add_passes(self):
-        row = run_benchmark([7], seed=42, model="pbox")["rows"][0]
+    def test_report_counts_skipped_add_passes(self, monkeypatch):
+        # A convex row runs no containment evaluation, so every re-solve is
+        # the search's.
+        counters = _spied_resolves(monkeypatch)
+        row = run_benchmark([7], seed=4, model="convex")["rows"][0]
+        assert len(counters) > 1
         assert row["best"]["stats"]["skipped_add_passes"] > 0
-        # The row's stats count the whole search; the winner's count its
-        # pinned re-solve alone.
+        # The row's stats count every re-solve; the winner's its own alone.
+        assert row["stats"] == _summed(counters, row["stats"])
         assert row["stats"]["prunes"] == row["alloc_counters"]["domain_writes"]
         assert row["stats"]["skipped_add_passes"] > row["best"]["stats"]["skipped_add_passes"]
 
