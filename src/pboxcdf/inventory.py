@@ -110,8 +110,7 @@ class InventoryInstance:
                 )
             elif "seed" in obj:
                 seed = _named("seed", json_number, obj["seed"], int)
-                rng = random.Random(seed * 1_000_003 + horizon)
-                demands = tuple(generate_demand_observations(horizon, rng))
+                demands = default_instance(horizon, seed).demands
             else:
                 raise ValueError("instance needs either 'demands' or 'seed'")
             fields = {
@@ -341,17 +340,16 @@ def _post_product(store: DomainStore, price: int, quantity: int, name: str) -> i
 def build_model(
     inputs: ModelInputs, schedule, order_sizes=None
 ) -> tuple[DomainStore, ModelVars]:
-    """Constraint network for one (possibly partially decided) schedule.
+    """Constraint network for one decided schedule.
 
-    ``schedule`` holds one entry per cycle: True forces an order in
-    [x_min, x_max], False forces none, None leaves the decision open with the
-    relaxed order range [0, x_max].  With ``order_sizes`` the order variables
-    are pinned to those quantities instead.  Flow balance, non-negative stock
-    and the cost sum are posted.  Holding and purchase are each one product
-    over a total, ``h * sum(stock_t)`` and ``v * sum(order_t)``: costs,
-    stock and orders are non-negative, and over non-negative intervals
-    multiplication distributes over addition exactly, so the per-cycle
-    products would add no bound.  A floor on the total orders prices
+    ``schedule`` holds one flag per cycle: a true flag forces an order in
+    [x_min, x_max], a false one forces none.  With ``order_sizes`` the order
+    variables are pinned to those quantities instead.  Flow balance,
+    non-negative stock and the cost sum are posted.  Holding and purchase
+    are each one product over a total, ``h * sum(stock_t)`` and
+    ``v * sum(order_t)``: costs, stock and orders are non-negative, and over
+    non-negative intervals multiplication distributes over addition
+    exactly, so the per-cycle products would add no bound.  A floor on the total orders prices
     purchase into the total cost's lower bound.
     """
     inst, cost = inputs.inst, inputs.ordering_cost
@@ -373,9 +371,7 @@ def build_model(
         d_t = store.new_var(inputs.demands[t], name=f"demand{cyc}")
         mv.demand.append(d_t)
 
-        if schedule[t] is None:
-            x_dom, a_dom = convex_interval(0.0, inst.x_max), convex_interval(0.0, cost.hi.q)
-        elif not schedule[t]:
+        if not schedule[t]:
             x_dom, a_dom = point_mass(0.0), point_mass(0.0)
         elif order_sizes is not None:
             x_dom, a_dom = point_mass(order_sizes[t]), cost
@@ -617,15 +613,18 @@ def _schedule_key(tc_lo: float, schedule: tuple[bool, ...]):
 class _Searcher:
     """Depth-first branch and bound over the replenishment flags.
 
-    Cycles are decided left to right, the no-order branch first.  A branch
-    is abandoned once the lot-sizing bound of :meth:`_node_bound`, a lower
-    bound on the resolved cost of every completion, is infinite (no
-    completion can cover worst-case demand) or exceeds the incumbent's cost.
-    The incumbent is seeded by a dive along that bound.  Full schedules are
-    scored on the resolved store with robust order sizes; schedules whose
-    caps cannot cover worst-case demand are infeasible.  The incumbent keeps
-    its resolved report fields, so :meth:`result` only adds the relaxed
-    network's cost to complete the winner's report.
+    Cycles are decided left to right.  At each visited partial schedule the
+    search computes both children's lot-sizing bounds (:meth:`_node_bound`,
+    a lower bound on the resolved cost of every completion) and visits the
+    smaller first, the no-order child on ties, so the first leaf it reaches
+    is the one a dive along the bound reaches.  A child is skipped once its
+    bound is infinite (no completion can cover worst-case demand) or exceeds
+    the incumbent's cost.  ``nodes`` counts the bounds computed, the root's
+    included.  Full schedules are scored on the resolved store with robust
+    order sizes; schedules whose caps cannot cover worst-case demand are
+    infeasible.  The incumbent keeps its resolved report fields, so
+    :meth:`result` only adds the relaxed network's cost to complete the
+    winner's report.
     """
 
     def __init__(self, inputs: ModelInputs):
@@ -661,8 +660,6 @@ class _Searcher:
         self.stats = dict.fromkeys(DomainStore().stats, 0)
         # The best scored leaf as (schedule, tc.lo.q, resolved report fields).
         self.incumbent = None
-        # The dive's schedule, scored before the DFS reaches it.
-        self.seed = None
 
     def _open_cost_table(self) -> list[list[tuple[float, float]]]:
         # table[d]: (R, c) pairs over the order choices of the open cycles
@@ -708,25 +705,10 @@ class _Searcher:
             states = dict(kept)
         return table
 
-    def _dive(self) -> tuple[bool, ...] | None:
-        # From the root, the child with the smaller bound at each depth, no
-        # order on ties; None once both children are infinite.
-        path: list[bool] = []
-        for _ in range(self.inst.horizon):
-            off = self._node_bound([*path, False])
-            on = self._node_bound([*path, True])
-            if off == on == math.inf:
-                return None
-            path.append(on < off)
-        return tuple(path)
-
     def _score(self, schedule: tuple[bool, ...]) -> None:
         # A leaf costs one pinned build and propagation: once the caps cover
         # worst-case demand, the covering sizes are a scenario of the relaxed
         # network, so that network cannot fail where the pinned one holds.
-        # The seed is skipped: it is the incumbent or was beaten already.
-        if schedule == self.seed:
-            return
         fields = _resolve(self.inputs, schedule)
         if fields is None:
             return
@@ -738,11 +720,8 @@ class _Searcher:
             self.incumbent = (schedule, tc_lo, fields)
 
     def run(self) -> None:
-        seed = self._dive()
-        if seed is not None:
-            self._score(seed)
-            self.seed = seed
-        if self._survives([]):
+        self.nodes += 1
+        if self._node_bound([]) < math.inf:
             self._dfs([])
 
     def result(self, started: float) -> SearchResult:
@@ -787,25 +766,23 @@ class _Searcher:
             - self._margin
         )
 
-    def _survives(self, path: list[bool]) -> bool:
-        # Counts a node; False once no completion can be covered or the
-        # lot-sizing bound exceeds the incumbent.
-        self.nodes += 1
-        bound = self._node_bound(path)
-        if bound == math.inf:
-            return False
-        return self.incumbent is None or not bound > self.incumbent[1] + TOLERANCE
-
     def _dfs(self, path: list[bool]) -> None:
-        # Branches on the next cycle of a surviving partial schedule.
-        depth = len(path)
-        for flag in (False, True):
+        # Visits the children of a partial schedule in bound order, the
+        # no-order child on ties.  A child whose bound is infinite or exceeds
+        # the incumbent by the time it is reached is skipped, and so is the
+        # one after it: its bound is no smaller and the incumbent only falls.
+        children = sorted((self._node_bound([*path, flag]), flag) for flag in (False, True))
+        self.nodes += 2
+        for bound, flag in children:
+            if bound == math.inf or (
+                self.incumbent is not None and bound > self.incumbent[1] + TOLERANCE
+            ):
+                return
             path.append(flag)
-            if self._survives(path):
-                if depth + 1 < self.inst.horizon:
-                    self._dfs(path)
-                else:
-                    self._score(tuple(path))
+            if len(path) < self.inst.horizon:
+                self._dfs(path)
+            else:
+                self._score(tuple(path))
             path.pop()
 
 

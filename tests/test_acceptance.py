@@ -5,6 +5,7 @@ lines alongside the pytest output.
 """
 
 import json
+import math
 import random
 import time
 from itertools import product
@@ -245,14 +246,19 @@ def test_criterion_6_containment_and_cdf_tightening(bench_reports):
     )
 
 
-def _best_time(inst, model, runs=5):
-    # The least wall time of ``runs`` searches of ``inst``.
-    times = []
-    for _ in range(runs):
-        started = time.perf_counter()
-        search(inst, mode=model)
-        times.append(time.perf_counter() - started)
-    return min(times)
+def _best_times(rounds=20):
+    # The least wall time of the seed-42 searches at h7, h10 and h24 under
+    # each model, over rounds that each run all six once, so that a burst of
+    # load slows one run of each search rather than every run of one.
+    instances = [default_instance(h, 42) for h in (7, 10, 24)]
+    best = {model: [math.inf] * len(instances) for model in ("pbox", "convex")}
+    for _ in range(rounds):
+        for model, times in best.items():
+            for k, inst in enumerate(instances):
+                started = time.perf_counter()
+                search(inst, mode=model)
+                times[k] = min(times[k], time.perf_counter() - started)
+    return best
 
 
 def test_criterion_7_tractability(bench_reports):
@@ -261,18 +267,15 @@ def test_criterion_7_tractability(bench_reports):
     convex_24 = next(r for r in convex_report["rows"] if r["horizon"] == 24)
     assert pbox_24["timing"]["wall_time_s"] + convex_24["timing"]["wall_time_s"] <= 0.1
     # A search takes milliseconds, so one timing can be out of order by
-    # noise alone; the ratio and the ordering compare best-of-5 times.
-    best = {
-        model: [_best_time(default_instance(h, 42), model) for h in (7, 10, 24)]
-        for model in ("pbox", "convex")
-    }
+    # noise alone; the ratio and the ordering compare best-of-20 times.
+    best = _best_times()
     t_pbox, t_convex = best["pbox"][-1], best["convex"][-1]
     assert t_pbox <= 2.0 * t_convex
     for times in best.values():
         assert times == sorted(times)
     _verdict(
         "criterion 7 tractability",
-        f"t=24 pbox {t_pbox * 1e3:.1f}ms vs convex {t_convex * 1e3:.1f}ms (best of 5), "
+        f"t=24 pbox {t_pbox * 1e3:.1f}ms vs convex {t_convex * 1e3:.1f}ms (best of 20), "
         f"ratio {t_pbox / t_convex:.2f}",
     )
 

@@ -237,7 +237,7 @@ class TestBuildModel:
         assert stock.hi.q == pytest.approx(5.0)
 
     def test_integer_flags_decide_like_booleans(self):
-        # 0 and 1 decide a cycle as False and True do; 0 is not undecided.
+        # 0 and 1 decide a cycle as False and True do.
         inputs = model_inputs(default_instance(3, 7))
         flags = [True, False, True]
         sizes = robust_order_sizes(inputs, flags)
@@ -338,7 +338,7 @@ class TestBuildModel:
         inputs = model_inputs(inst, mode)
         decided = search(inst, mode=mode).best.schedule
         for schedule, sizes in (
-            ([None] * 7, None),
+            ([True] * 7, None),
             (decided, None),
             (decided, robust_order_sizes(inputs, decided)),
         ):
@@ -355,16 +355,16 @@ class TestBuildModel:
         # Per cycle, one supply sum and one stock balance; the order, stock
         # and total-cost sums; holding priced once on the total stock and
         # purchase once on the total orders.
-        relaxed, _ = build_model(inputs, [None] * 7)
-        kinds = [c.kind for c in relaxed.constraints]
-        assert len(relaxed.domains) == 43
+        every, _ = build_model(inputs, [True] * 7)
+        kinds = [c.kind for c in every.constraints]
+        assert len(every.domains) == 43
         assert (kinds.count("add"), kinds.count("sub"), kinds.count("mul")) == (7 + 3, 7, 2)
-        long, _ = build_model(model_inputs(default_instance(24, 42), mode), [None] * 24)
+        long, _ = build_model(model_inputs(default_instance(24, 42), mode), [True] * 24)
         assert (len(long.domains), len(long.constraints)) == (128, 53)
 
     def test_every_domain_passes_dominance_after_propagation(self, rng):
         inst = default_instance(6, 13)
-        store, _ = build_model(model_inputs(inst), [None] * 6)
+        store, _ = build_model(model_inputs(inst), [True] * 6)
         assert store.propagate() == CONSISTENT
         for dom in store.domains:
             assert check_dominance(dom)
@@ -638,23 +638,45 @@ class TestSearch:
 
         monkeypatch.setattr(inventory, "_resolve", counting_resolve)
         monkeypatch.setattr(inventory, "evaluate_schedule", counting_evaluate)
-        # The dive's leaf is the winner here, so the search reaches it again.
         result = search(default_instance(7, 1))
         assert result.best is not None
         assert evaluated == []
         assert result.best.schedule in resolved
         assert len(resolved) == len(set(resolved))
 
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_nodes_count_the_bounds_computed(self, monkeypatch, seed):
+        # The search walks the tree once: every node's bound is computed
+        # once and counted, and every leaf is re-solved at most once.
+        bounds, resolved = [], []
+        real_bound = inventory._Searcher._node_bound
+        real_resolve = inventory._resolve
+
+        def counting_bound(self, path):
+            bounds.append(tuple(path))
+            return real_bound(self, path)
+
+        def counting_resolve(inputs, schedule):
+            resolved.append(tuple(schedule))
+            return real_resolve(inputs, schedule)
+
+        monkeypatch.setattr(inventory._Searcher, "_node_bound", counting_bound)
+        monkeypatch.setattr(inventory, "_resolve", counting_resolve)
+        result = search(default_instance(24, seed))
+        assert result.status == "optimal"
+        assert result.nodes == len(bounds) == len(set(bounds))
+        assert len(resolved) == len(set(resolved))
+
     def test_h24_seed_spread_models_agree(self):
         # Both models pick the same schedule over the same search tree at
-        # h24 under every seed from 0 to 9, in 49-117 nodes each (6 857-46 461
+        # h24 under every seed from 0 to 9, in 49-65 nodes each (6 857-46 461
         # with the span bound the lot-sizing bound replaced).
         for seed in range(10):
             inst = default_instance(24, seed)
             pbox, convex = search(inst, mode="pbox"), search(inst, mode="convex")
             assert pbox.status == convex.status == "optimal"
             assert pbox.best.schedule == convex.best.schedule
-            assert pbox.nodes == convex.nodes <= 200
+            assert pbox.nodes == convex.nodes <= 100
 
     def test_winners_match_golden_beyond_h24(self):
         # Schedules and resolved total-cost lower bounds of the h48 and h96
@@ -691,7 +713,7 @@ class TestInstanceIO:
         inst = InventoryInstance.from_file(path)
         assert inst.horizon == 5
         assert inst.x_max == 90.0
-        assert len(inst.demands) == 5
+        assert inst.demands == default_instance(5, 42).demands
 
     def test_cost_from_csv(self, tmp_path):
         csv_path = tmp_path / "obs.csv"
