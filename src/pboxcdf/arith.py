@@ -6,7 +6,7 @@ them on the real line and project onto the cdf domain once per fixpoint.
 ``slide`` is that projection for one domain and one target range: it slides
 each bound point along its own cdf line onto the new quantile range.
 ``checked`` turns a computed range into a ``QuantileInterval`` and rejects
-overflow; model building uses both to bind derived domains.
+overflow; model building slides its stock levels onto the non-negatives.
 """
 
 from __future__ import annotations

@@ -84,8 +84,8 @@ def coerce_domain(initial) -> PboxInterval:
 class DomainStore:
     """Solver state: domains, constraints, watch lists and the wake queues.
 
-    A store is single-threaded; clones are cheap and independent, which is
-    how search explores alternatives.
+    A store is single-threaded.  ``clone`` is a cheap independent copy for
+    trying narrowings on a solved store; the search builds each network anew.
     """
 
     def __init__(self):

@@ -29,13 +29,11 @@ from .pbox import (
     envelope,
     json_number,
     load_observations_csv,
-    lower_at,
     point_mass,
     project,
     repair_dominance,
-    upper_at,
 )
-from .arith import QuantileInterval, add_bounds, checked, mul_bounds, slide
+from .arith import QuantileInterval, mul_bounds, slide
 from .engine import FAILED, Constraint, DomainStore
 
 MODES = ("pbox", "convex")
@@ -235,22 +233,16 @@ def model_inputs(inst: InventoryInstance, mode: str = "pbox") -> ModelInputs:
 def _levelwise(f1: float, s1: float, f2: float, s2: float) -> tuple[float, float]:
     # Quantiles of the two bound lines added at equal cdf level: the joint
     # slope is the harmonic combination, the anchor level the slope-weighted
-    # average of the anchor levels.
+    # average of the anchor levels.  A subnormal slope makes s 0 and f 0 * inf.
     s = 1.0 / (1.0 / s1 + 1.0 / s2)
     f = s * (f1 / s1 + f2 / s2)
+    if f != f:
+        raise ValueError(f"cdf value must lie in [0, 1], got {f!r}")
     return min(max(f, 0.0), 1.0), s
 
 
-def _negated(d: PboxInterval) -> PboxInterval:
-    # -X mirrors the quantiles and swaps the ends; each line keeps its slope,
-    # and the cdf level f at q becomes 1 - f at -q.
-    return PboxInterval(
-        CdfPoint(-d.hi.q, 1.0 - d.hi.f, d.hi.s), CdfPoint(-d.lo.q, 1.0 - d.lo.f, d.lo.s)
-    )
-
-
 def combine_bindings(op: str, a: PboxInterval, b: PboxInterval) -> PboxInterval:
-    """Initial binding for a derived quantity ``a op b``.
+    """Initial binding for a derived quantity ``a op b`` (op: add, sub, mul).
 
     Quantile bounds follow real interval arithmetic, and ``a - b`` is
     ``a + (-b)``.  Candidate cdf bound lines come from two constructions.  A
@@ -263,42 +255,49 @@ def combine_bindings(op: str, a: PboxInterval, b: PboxInterval) -> PboxInterval:
     level-wise combination of both lines, whose slope is the harmonic mean;
     it stays informative through long chains of sums where any single
     shifted line clips to vacuity.  The tightest candidate at the midpoint
-    wins, and with no candidate at all the bound degrades to the convex one.
+    wins, compared on floats; with none the bound degrades to the convex one.
     """
+    if op not in ("add", "sub", "mul"):
+        raise ValueError(f"op must be 'add', 'sub' or 'mul', got {op!r}")
+    alq, alf, als, ahq, ahf, ahs = a.lo.q, a.lo.f, a.lo.s, a.hi.q, a.hi.f, a.hi.s
+    blq, blf, bls, bhq, bhf, bhs = b.lo.q, b.lo.f, b.lo.s, b.hi.q, b.hi.f, b.hi.s
     if op == "sub":
-        op, b = "add", _negated(b)
-    bounds = {"add": add_bounds, "mul": mul_bounds}[op]
-    rz = checked(*bounds(a.lo.q, a.hi.q, b.lo.q, b.hi.q))
-    if rz.lo == rz.hi:
-        return point_mass(rz.lo)
-    add = op == "add"
-    uppers: list[CdfPoint] = []
-    lowers: list[CdfPoint] = []
-    if add or (a.lo.q >= 0.0 and b.lo.q >= 0.0):
-        for d, other in ((a, b), (b, a)):
-            known = other.lo.q == other.hi.q
-            lo_scale, hi_scale = (1.0, 1.0) if add else (other.lo.q, other.hi.q)
-            if lo_scale > 0.0 and (known or upper_at(d.lo, d.hi.q) >= 1.0 - TOLERANCE):
-                uppers.append(CdfPoint(rz.lo, d.lo.f, d.lo.s / lo_scale))
-            if hi_scale > 0.0 and (known or lower_at(d.hi, d.lo.q) <= TOLERANCE):
-                lowers.append(CdfPoint(rz.hi, d.hi.f, d.hi.s / hi_scale))
-    if add and a.lo.s > 0.0 and b.lo.s > 0.0:
-        uppers.append(CdfPoint(rz.lo, *_levelwise(a.lo.f, a.lo.s, b.lo.f, b.lo.s)))
-    if add and a.hi.s > 0.0 and b.hi.s > 0.0:
-        lowers.append(CdfPoint(rz.hi, *_levelwise(a.hi.f, a.hi.s, b.hi.f, b.hi.s)))
-    if not uppers:
-        uppers = [CdfPoint(rz.lo, 1.0, 0.0)]
-    if not lowers:
-        lowers = [CdfPoint(rz.hi, 0.0, 0.0)]
-    mid = 0.5 * (rz.lo + rz.hi)
-    # Ties at the midpoint are frequent once lines clip there, so fall back
-    # to the anchor value (tightest near the anchored end), then the slope.
-    up = min(uppers, key=lambda c: (upper_at(c, mid), c.f, c.s))
-    low = max(lowers, key=lambda c: (lower_at(c, mid), c.f, -c.s))
+        # -b mirrors the quantiles and swaps the ends; the level f becomes 1 - f.
+        blq, blf, bls, bhq, bhf, bhs = -bhq, 1.0 - bhf, bhs, -blq, 1.0 - blf, bls
+    add = op != "mul"
+    lo, hi = (alq + blq, ahq + bhq) if add else mul_bounds(alq, ahq, blq, bhq)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval arithmetic overflowed to [{lo!r}, {hi!r}]")
+    if lo == hi:
+        return point_mass(lo)
+    uppers, lowers = [], []
+    if add or (alq >= 0.0 and blq >= 0.0):
+        for lf, ls, hf, hs, width, olq, ohq in (
+            (alf, als, ahf, ahs, ahq - alq, blq, bhq),
+            (blf, bls, bhf, bhs, bhq - blq, alq, ahq),
+        ):
+            lo_scale, hi_scale = (1.0, 1.0) if add else (olq, ohq)
+            if lo_scale > 0.0 and (olq == ohq or lf + ls * width >= 1.0 - TOLERANCE):
+                uppers.append((lf, ls / lo_scale))
+            if hi_scale > 0.0 and (olq == ohq or hf - hs * width <= TOLERANCE):
+                lowers.append((hf, hs / hi_scale))
+        if not add and not all(math.isfinite(s) for _, s in uppers + lowers):
+            raise ValueError(f"scaled slopes overflowed: {uppers + lowers!r}")
+    if add and als > 0.0 and bls > 0.0:
+        uppers.append(_levelwise(alf, als, blf, bls))
+    if add and ahs > 0.0 and bhs > 0.0:
+        lowers.append(_levelwise(ahf, ahs, bhf, bhs))
+    uppers, lowers = uppers or [(1.0, 0.0)], lowers or [(0.0, 0.0)]
+    # Ties at the midpoint are frequent once lines clip there, so fall back to
+    # the anchor level, then the slope; min and max keep the first of equals.
+    mid = 0.5 * (lo + hi)
+    _, up_f, up_s = min([(min(f + s * (mid - lo), 1.0), f, s) for f, s in uppers])
+    _, low_f, low_s = max([(max(f - s * (hi - mid), 0.0), f, -s) for f, s in lowers])
     try:
+        up, low = CdfPoint(lo, up_f, up_s), CdfPoint(hi, low_f, -low_s)
         return repair_dominance(PboxInterval(up, low))
     except Inconsistent:
-        return convex_interval(rz.lo, rz.hi)
+        return convex_interval(lo, hi)
 
 
 # -- model construction -------------------------------------------------------
@@ -365,6 +364,7 @@ def build_model(
     vvar = store.new_var(inputs.unit_cost, name="v")
     i0var = store.new_var(point_mass(inst.initial_stock), name="stock0")
 
+    zero = point_mass(0.0)
     prev_stock = i0var
     for t in range(inst.horizon):
         cyc = t + 1
@@ -372,7 +372,7 @@ def build_model(
         mv.demand.append(d_t)
 
         if not schedule[t]:
-            x_dom, a_dom = point_mass(0.0), point_mass(0.0)
+            x_dom = a_dom = zero
         elif order_sizes is not None:
             x_dom, a_dom = point_mass(order_sizes[t]), cost
         else:

@@ -164,6 +164,62 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _bits(outcome):
+    """An outcome of ``_outcome`` with every float as its exact bits."""
+    if isinstance(outcome, type):
+        return outcome
+    return tuple(v.hex() for p in (outcome.lo, outcome.hi) for v in (p.q, p.f, p.s))
+
+
+def _sweep_operand(rng):
+    """A point mass, convex range, envelope or pair of lines; some lie near
+    the float range's end or have subnormal quantiles or slopes."""
+    kind = rng.choice(("point", "convex", "envelope", "lines"))
+    if kind == "envelope":
+        return random_envelope(rng)
+    roll = rng.random()
+    if roll < 0.1:
+        lo = rng.choice((-1.0, 1.0)) * rng.uniform(1e307, 1.7e308)
+        hi = lo + abs(lo) * rng.choice((0.0, rng.uniform(0.0, 0.05)))
+    elif roll < 0.2:
+        lo = rng.choice((0.0, 5e-324, 1e-310))
+        hi = lo + rng.choice((0.0, 1e-310, rng.uniform(0.0, 10.0)))
+    else:
+        lo = rng.choice((0.0, rng.uniform(-100.0, 100.0)))
+        hi = lo + rng.choice((0.0, 1e-7, rng.uniform(0.0, 100.0)))
+    if kind == "point":
+        return point_mass(lo)
+    if kind == "convex":
+        return convex_interval(lo, hi)
+    levels = (0.0, 1.0, rng.random())
+    slopes = (0.0, 5e-324, rng.uniform(0.0, 0.1), rng.uniform(0.0, 50.0))
+    up_f, low_f = rng.choice(levels), rng.choice(levels)
+    up_s, low_s = rng.choice(slopes), rng.choice(slopes)
+    # Lines that end exactly at cdf 0 or 1 on the far bound.
+    if hi - lo > 1e-300 and rng.random() < 0.4:
+        up_s = (1.0 - up_f) / (hi - lo)
+    if hi - lo > 1e-300 and rng.random() < 0.4:
+        low_s = low_f / (hi - lo)
+    return PboxInterval(CdfPoint(lo, up_f, up_s), CdfPoint(hi, low_f, low_s))
+
+
+def combine_sweep(seed, n):
+    """Checks ``combine_bindings`` against the three-branch reference bit for
+    bit, or for the same exception type, on ``n`` seeded operand pairs.
+    Returns how often each outcome type came up."""
+    rng = random.Random(seed)
+    seen = {}
+    for _ in range(n):
+        op = rng.choice(("add", "sub", "mul"))
+        a, b = _sweep_operand(rng), _sweep_operand(rng)
+        got = _bits(_outcome(combine_bindings, op, a, b))
+        want = _bits(_outcome(_three_branch_combine_bindings, op, a, b))
+        assert got == want, (op, a, b, got, want)
+        kind = got.__name__ if isinstance(got, type) else "binding"
+        seen[kind] = seen.get(kind, 0) + 1
+    return seen
+
+
 class TestCombineBindings:
     @given(st.sampled_from(["add", "sub", "mul"]), _bindings(), _bindings())
     @settings(max_examples=1500, deadline=None)
@@ -222,6 +278,46 @@ class TestCombineBindings:
         out = combine_bindings("mul", a, b)
         assert out.lo.f == 1.0 and out.lo.s == 0.0
         assert out.hi.f == 0.0 and out.hi.s == 0.0
+
+    def test_unknown_op_is_named(self):
+        with pytest.raises(ValueError, match="'div'"):
+            combine_bindings("div", point_mass(1.0), convex_interval(1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "op, a, b",
+        [
+            ("add", point_mass(1e308), point_mass(1e308)),
+            ("sub", convex_interval(-1e308, 0.0), convex_interval(0.0, 1e308)),
+            ("mul", convex_interval(1.0, 1e200), convex_interval(1.0, 1e200)),
+        ],
+    )
+    def test_overflowed_bounds_raise(self, op, a, b):
+        assert _outcome(_three_branch_combine_bindings, op, a, b) is ValueError
+        with pytest.raises(ValueError, match="overflowed"):
+            combine_bindings(op, a, b)
+
+    def test_overflowed_scaled_slope_raises(self):
+        # A subnormal factor scales the other line's slope past the float range.
+        a = point_mass(5e-324)
+        b = PboxInterval(CdfPoint(1.0, 0.2, 0.5), CdfPoint(3.0, 0.6, 0.5))
+        assert _outcome(_three_branch_combine_bindings, "mul", a, b) is ValueError
+        with pytest.raises(ValueError, match="scaled slopes"):
+            combine_bindings("mul", a, b)
+
+    def test_conflicting_lines_fall_back_to_convex(self):
+        # Both operands keep dominance, but their level-wise lines are
+        # parallel and cross: the binding has no cdf knowledge.
+        a = PboxInterval(CdfPoint(2.0, 1.0, 1.0), CdfPoint(3.0, 1.0, 0.25))
+        b = PboxInterval(CdfPoint(0.0, 0.0, 0.25), CdfPoint(2.0, 0.25, 1.0))
+        assert check_dominance(a) and check_dominance(b)
+        want = _three_branch_combine_bindings("add", a, b)
+        assert want == convex_interval(2.0, 5.0)
+        assert _bits(combine_bindings("add", a, b)) == _bits(want)
+
+    def test_matches_three_branches_on_a_seeded_sweep(self):
+        # A larger sweep runs in CI: combine_sweep(1, 50_000).
+        seen = combine_sweep(19, 2000)
+        assert seen["binding"] > 1000 and seen["ValueError"] > 50
 
 
 class TestBuildModel:
