@@ -4,9 +4,10 @@ Arithmetic moves quantile bounds exactly as real interval arithmetic does.
 The bound formulas work on float endpoints: the engine's propagators call
 them on the real line and project onto the cdf domain once per fixpoint.
 ``slide`` is that projection for one domain and one target range: it slides
-each bound point along its own cdf line onto the new quantile range.
-``checked`` turns a computed range into a ``QuantileInterval`` and rejects
-overflow; model building slides its stock levels onto the non-negatives.
+each bound point along its own cdf line onto the new quantile range; model
+building slides its stock levels onto the non-negatives.  Sums and
+differences need no helper: the engine and ``inventory.combine_bindings``
+add endpoints inline.
 """
 
 from __future__ import annotations
@@ -35,21 +36,6 @@ class QuantileInterval:
             raise ValueError(f"bounds must be finite, got [{self.lo!r}, {self.hi!r}]")
         if self.lo > self.hi:
             raise ValueError(f"bounds out of order: {self.lo!r} > {self.hi!r}")
-
-
-def checked(lo: float, hi: float) -> QuantileInterval:
-    """The range [lo, hi]; an overflowed bound is an error."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"interval arithmetic overflowed to [{lo!r}, {hi!r}]")
-    return QuantileInterval(lo, hi)
-
-
-def add_bounds(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[float, float]:
-    return a_lo + b_lo, a_hi + b_hi
-
-
-def sub_bounds(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[float, float]:
-    return a_lo - b_hi, a_hi - b_lo
 
 
 def mul_bounds(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[float, float]:

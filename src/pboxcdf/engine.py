@@ -84,8 +84,13 @@ def coerce_domain(initial) -> PboxInterval:
 class DomainStore:
     """Solver state: domains, constraints, watch lists and the wake queues.
 
-    A store is single-threaded.  ``clone`` is a cheap independent copy for
-    trying narrowings on a solved store; the search builds each network anew.
+    A store is single-threaded.  Stores can share one topology (names,
+    constraints, watch lists and sum flags) until one of them adds a variable
+    or a constraint, which copies it first.  ``clone`` is a cheap independent
+    copy for trying narrowings on a solved store; ``fork`` starts a fresh
+    store over the same topology from new domains, which is how
+    ``inventory.build_model`` fills every network of a horizon into one
+    prebuilt topology.
     """
 
     def __init__(self):
@@ -144,16 +149,37 @@ class DomainStore:
 
     def clone(self) -> "DomainStore":
         """Independent copy sharing the (append-only) constraint topology."""
-        other = DomainStore.__new__(DomainStore)
-        other.domains = list(self.domains)
-        other.names = self.names
-        other.constraints = self.constraints
-        other._watchers = self._watchers
-        other._is_sum = self._is_sum
+        other = self._sharing(list(self.domains))
         other._queue = other._sums = deque(self._queue)
         other._queued = list(self._queued)
         other.status = self.status
         other.stats = dict(self.stats)
+        return other
+
+    def fork(self, domains: list[PboxInterval]) -> "DomainStore":
+        """A fresh store over this store's topology that adopts ``domains``,
+        one per variable in id order: every constraint is queued in posting
+        order and every counter is 0, as if each variable had been created
+        with its domain and each constraint posted again."""
+        if len(domains) != len(self.names):
+            raise ValueError(f"expected {len(self.names)} domains, got {len(domains)}")
+        n = len(self.constraints)
+        other = self._sharing(domains)
+        other._queue = other._sums = deque(range(n))
+        other._queued = [True] * n
+        other.status = CONSISTENT
+        other.stats = dict.fromkeys(self.stats, 0)
+        return other
+
+    def _sharing(self, domains: list[PboxInterval]) -> "DomainStore":
+        # A store over ``domains`` that shares this one's topology; the caller
+        # sets its queue, status and counters.
+        other = DomainStore.__new__(DomainStore)
+        other.domains = domains
+        other.names = self.names
+        other.constraints = self.constraints
+        other._watchers = self._watchers
+        other._is_sum = self._is_sum
         other._shared_topology = True
         other._lo = other._hi = other._moved = None
         self._shared_topology = True
@@ -418,8 +444,8 @@ class DomainStore:
         # x1 + ... + xn = z in O(n): z takes the left-to-right sum S of the
         # terms; term k takes z minus the later terms, one at a time, minus the
         # sum of the earlier ones as narrowed: a binary-sum chain without
-        # accumulators.  The interval sums of arith.add_bounds/sub_bounds are
-        # inlined (the same float operations): this is the hottest propagator.
+        # accumulators.  The interval sums are computed inline: this is the
+        # hottest propagator.
         #
         # Slack test (Harvey & Schimpf, TRICS 2002).  In exact arithmetic term
         # k's new lower bound is hi_k - (S_hi - z_lo), so it moves only if its

@@ -15,7 +15,8 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .pbox import (
@@ -201,7 +202,9 @@ class ModelInputs:
 
     Every network of one search or evaluation starts from these domains, so
     observations are enveloped once per run.  ``worst`` holds each cycle's
-    worst-case demand.
+    worst-case demand, ``initial_stock`` the initial stock as a point mass
+    and ``order_range`` the range [x_min, x_max] of an order not pinned to a
+    size.
     """
 
     inst: InventoryInstance
@@ -210,6 +213,14 @@ class ModelInputs:
     unit_cost: PboxInterval
     demands: tuple[PboxInterval, ...]
     worst: tuple[float, ...]
+    initial_stock: PboxInterval
+    order_range: PboxInterval
+
+    @cached_property
+    def network(self) -> tuple[DomainStore, ModelVars]:
+        """The topology that every network of the run is filled into, with
+        its variable ids (see :func:`build_model`); built on first use."""
+        return _network(self.inst.horizon)
 
 
 def model_inputs(inst: InventoryInstance, mode: str = "pbox") -> ModelInputs:
@@ -224,6 +235,8 @@ def model_inputs(inst: InventoryInstance, mode: str = "pbox") -> ModelInputs:
         unit_cost=_domain_of(inst.unit_cost, mode),
         demands=demands,
         worst=tuple(d.hi.q for d in demands),
+        initial_stock=point_mass(inst.initial_stock),
+        order_range=convex_interval(inst.x_min, inst.x_max),
     )
 
 
@@ -303,37 +316,94 @@ def combine_bindings(op: str, a: PboxInterval, b: PboxInterval) -> PboxInterval:
 # -- model construction -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelVars:
     """Variable ids of one built scheduling network."""
 
-    order: list[int] = field(default_factory=list)
-    stock: list[int] = field(default_factory=list)
-    demand: list[int] = field(default_factory=list)
-    order_cost: list[int] = field(default_factory=list)
+    order: tuple[int, ...] = ()
+    stock: tuple[int, ...] = ()
+    demand: tuple[int, ...] = ()
+    order_cost: tuple[int, ...] = ()
+    total_orders: int = -1
     tc: int = -1
     holding: int = -1
 
 
+# The domain of a cycle without an order: no quantity and no ordering cost.
+_ZERO = point_mass(0.0)
+
+
 def _post_sum(store: DomainStore, terms: list[int], name: str) -> int:
-    """A variable for the sum of ``terms``, bound by the left fold of their
-    bindings and tied to them by one ``add``; a single term is its own sum."""
+    """A variable for the sum of ``terms``, tied to them by one ``add``; a
+    single term is its own sum."""
     if len(terms) == 1:
         return terms[0]
-    binding = store.domains[terms[0]]
-    for term in terms[1:]:
-        binding = combine_bindings("add", binding, store.domains[term])
-    total = store.new_var(binding, name=name)
+    total = store.new_var(_ZERO, name=name)
     store.post(Constraint("add", (*terms, total)))
     return total
 
 
-def _post_product(store: DomainStore, price: int, quantity: int, name: str) -> int:
-    """A variable for ``price * quantity``, tied to both by one ``mul``."""
-    binding = combine_bindings("mul", store.domains[price], store.domains[quantity])
-    cost = store.new_var(binding, name=name)
-    store.post(Constraint("mul", (price, quantity, cost)))
-    return cost
+def _network(horizon: int) -> tuple[DomainStore, ModelVars]:
+    """The variables and constraints that every scheduling network of
+    ``horizon`` cycles shares, over placeholder domains.
+
+    Variables: ``h``, ``v`` and ``stock0``, then per cycle its demand, order,
+    ordering cost, supply and stock, then the order and stock totals (a
+    single cycle's order and stock are their own totals), holding, purchase
+    and the total cost.  Per cycle, supply is stock plus order and stock is
+    supply minus demand; holding and purchase are each one product over a
+    total.
+    """
+    store = DomainStore()
+    new_var = store.new_var
+    hvar = new_var(_ZERO, name="h")
+    vvar = new_var(_ZERO, name="v")
+    prev_stock = new_var(_ZERO, name="stock0")
+    demand, order, order_cost, stock = [], [], [], []
+    for cyc in range(1, horizon + 1):
+        d_t = new_var(_ZERO, name=f"demand{cyc}")
+        x_t = new_var(_ZERO, name=f"order{cyc}")
+        a_t = new_var(_ZERO, name=f"ordering_cost{cyc}")
+        b_t = new_var(_ZERO, name=f"supply{cyc}")
+        i_t = new_var(_ZERO, name=f"stock{cyc}")
+        store.post(Constraint("add", (prev_stock, x_t, b_t)))
+        store.post(Constraint("sub", (b_t, d_t, i_t)))
+        demand.append(d_t)
+        order.append(x_t)
+        order_cost.append(a_t)
+        stock.append(i_t)
+        prev_stock = i_t
+    total_orders = _post_sum(store, order, "total_orders")
+    total_stock = _post_sum(store, stock, "total_stock")
+    holding = new_var(_ZERO, name="total_holding")
+    store.post(Constraint("mul", (hvar, total_stock, holding)))
+    purchase = new_var(_ZERO, name="total_purchase")
+    store.post(Constraint("mul", (vvar, total_orders, purchase)))
+    tc = _post_sum(store, [*order_cost, holding, purchase], "total_cost")
+    return store, ModelVars(
+        order=tuple(order),
+        stock=tuple(stock),
+        demand=tuple(demand),
+        order_cost=tuple(order_cost),
+        total_orders=total_orders,
+        tc=tc,
+        holding=holding,
+    )
+
+
+def _sum_binding(bindings: list[PboxInterval]) -> PboxInterval:
+    # The binding of a sum: the left fold of its terms' bindings.
+    total = bindings[0]
+    for binding in bindings[1:]:
+        total = combine_bindings("add", total, binding)
+    return total
+
+
+def _failed() -> tuple[DomainStore, ModelVars]:
+    # The network of a schedule whose bindings already rule it out.
+    store = DomainStore()
+    store.fail()
+    return store, ModelVars()
 
 
 def build_model(
@@ -350,6 +420,11 @@ def build_model(
     non-negative intervals multiplication distributes over addition
     exactly, so the per-cycle products would add no bound.  A floor on the total orders prices
     purchase into the total cost's lower bound.
+
+    Every network of a run is filled into the one topology of
+    ``inputs.network`` (see :func:`_network`): this computes the initial
+    bindings in its variable order and forks a store over them.  A schedule
+    that its bindings already rule out gets an empty failed store.
     """
     inst, cost = inputs.inst, inputs.ordering_cost
     if len(schedule) != inst.horizon:
@@ -357,68 +432,50 @@ def build_model(
     if order_sizes is not None and len(order_sizes) != inst.horizon:
         raise ValueError("order_sizes length must match the horizon")
 
-    store = DomainStore()
-    mv = ModelVars()
-
-    hvar = store.new_var(inputs.holding_cost, name="h")
-    vvar = store.new_var(inputs.unit_cost, name="v")
-    i0var = store.new_var(point_mass(inst.initial_stock), name="stock0")
-
-    zero = point_mass(0.0)
-    prev_stock = i0var
+    prev_stock = inputs.initial_stock
+    domains = [inputs.holding_cost, inputs.unit_cost, prev_stock]
+    orders, stocks, order_costs = [], [], []
     for t in range(inst.horizon):
-        cyc = t + 1
-        d_t = store.new_var(inputs.demands[t], name=f"demand{cyc}")
-        mv.demand.append(d_t)
-
+        d_t = inputs.demands[t]
         if not schedule[t]:
-            x_dom = a_dom = zero
+            x_t = a_t = _ZERO
         elif order_sizes is not None:
-            x_dom, a_dom = point_mass(order_sizes[t]), cost
+            x_t, a_t = point_mass(order_sizes[t]), cost
         else:
-            x_dom, a_dom = convex_interval(inst.x_min, inst.x_max), cost
-        x_t = store.new_var(x_dom, name=f"order{cyc}")
-        a_t = store.new_var(a_dom, name=f"ordering_cost{cyc}")
-        mv.order.append(x_t)
-        mv.order_cost.append(a_t)
-
+            x_t, a_t = inputs.order_range, cost
         # stock balance: stock_t = stock_{t-1} + order_t - demand_t, >= 0
-        b_bind = combine_bindings(
-            "add", store.domains[prev_stock], store.domains[x_t]
-        )
-        b_t = store.new_var(b_bind, name=f"supply{cyc}")
-        store.post(Constraint("add", (prev_stock, x_t, b_t)))
-
+        b_t = combine_bindings("add", prev_stock, x_t)
         # Stock that rounds to a hair below zero still counts as empty.
-        i_bind = combine_bindings("sub", b_bind, store.domains[d_t])
-        if i_bind.hi.q < -TOLERANCE:
-            store.fail()
-            return store, mv
-        if i_bind.lo.q < 0.0:
-            i_bind = slide(i_bind, QuantileInterval(0.0, max(i_bind.hi.q, 0.0)))
-        i_t = store.new_var(i_bind, name=f"stock{cyc}")
-        store.post(Constraint("sub", (b_t, d_t, i_t)))
-        mv.stock.append(i_t)
+        i_t = combine_bindings("sub", b_t, d_t)
+        if i_t.hi.q < -TOLERANCE:
+            return _failed()
+        if i_t.lo.q < 0.0:
+            i_t = slide(i_t, QuantileInterval(0.0, max(i_t.hi.q, 0.0)))
+        domains += (d_t, x_t, a_t, b_t, i_t)
+        orders.append(x_t)
+        stocks.append(i_t)
+        order_costs.append(a_t)
         prev_stock = i_t
 
-    orders = _post_sum(store, mv.order, "total_orders")
-    stock = _post_sum(store, mv.stock, "total_stock")
-    holding = _post_product(store, hvar, stock, "total_holding")
-    purchase = _post_product(store, vvar, orders, "total_purchase")
+    total_orders = _sum_binding(orders)
+    total_stock = _sum_binding(stocks)
+    if inst.horizon > 1:  # one cycle's order and stock are their own totals
+        domains += (total_orders, total_stock)
+    holding = combine_bindings("mul", inputs.holding_cost, total_stock)
+    purchase = combine_bindings("mul", inputs.unit_cost, total_orders)
 
     # Orders must be able to meet demand up to the next replenishment, so the
     # total ordered quantity is floored by worst-case total demand.  Pinned
     # covering sizes can sum to a rounding ulp below that floor.
     worst_total = sum(inputs.worst) - inst.initial_stock
-    tx_dom = store.domains[orders]
-    if worst_total > tx_dom.lo.q:
-        if worst_total > tx_dom.hi.q + TOLERANCE:
-            store.fail()
-            return store, mv
-        store.tighten(orders, (min(worst_total, tx_dom.hi.q), tx_dom.hi.q))
+    if worst_total > total_orders.hi.q + TOLERANCE:
+        return _failed()
+    domains += (holding, purchase, _sum_binding([*order_costs, holding, purchase]))
 
-    mv.tc = _post_sum(store, [*mv.order_cost, holding, purchase], "total_cost")
-    mv.holding = holding
+    network, mv = inputs.network
+    store = network.fork(domains)
+    if worst_total > total_orders.lo.q:
+        store.tighten(mv.total_orders, (min(worst_total, total_orders.hi.q), total_orders.hi.q))
     return store, mv
 
 
@@ -469,19 +526,52 @@ class ScheduleReport:
 _COVER_SLACK = 1e-12
 
 
+def _serve_cycle(
+    t: int,
+    need: float,
+    stock: float,
+    holding: float,
+    points,
+    spare: list[float],
+    alloc: list[float] | None = None,
+) -> tuple[float, float] | None:
+    """Serve cycle ``t``'s worst-case demand ``need`` first from the initial
+    ``stock`` left, then from the latest of the order ``points`` with spare
+    capacity, which minimizes holding.
+
+    ``spare`` (and ``alloc``, when given) hold each cycle's spare (and
+    allocated) order capacity and are updated in place.  Returns the stock
+    left and the running ``holding`` of the served demand in unit-cycles, a
+    unit counting from its order's cycle (initial stock from cycle 0) to the
+    cycle that consumes it; None when the caps cannot cover the cycle.
+    """
+    take = min(stock, need)
+    stock -= take
+    need -= take
+    holding += t * take
+    for p in reversed(points):
+        if need <= 0.0:
+            break
+        take = min(spare[p], need)
+        if alloc is not None:
+            alloc[p] += take
+        spare[p] -= take
+        need -= take
+        holding += (t - p) * take
+    if need > _COVER_SLACK:
+        return None
+    return stock, holding
+
+
 def _serve_latest_first(inputs: ModelInputs, schedule):
     """Serve the worst-case demand of each cycle of ``schedule``, which may be
-    a prefix of the horizon, first from initial stock, then from the latest
-    order point with spare capacity, which minimizes holding.
+    a prefix of the horizon, by :func:`_serve_cycle`.
 
     Returns ``(alloc, spare, stock, holding)``: each cycle's allocated and
     spare order capacity, the initial stock left over, and the holding of
-    the served demand in unit-cycles, a unit counting from its order's cycle
-    (initial stock from cycle 0) to the cycle that consumes it.  Returns
-    None when the caps cannot cover some cycle.
+    the served demand.  Returns None when the caps cannot cover some cycle.
     """
     inst = inputs.inst
-    worst = inputs.worst
     alloc = [0.0] * len(schedule)
     spare = [inst.x_max if flag else 0.0 for flag in schedule]
     stock = inst.initial_stock
@@ -490,21 +580,10 @@ def _serve_latest_first(inputs: ModelInputs, schedule):
     for t in range(len(schedule)):
         if schedule[t]:
             points.append(t)
-        need = worst[t]
-        take = min(stock, need)
-        stock -= take
-        need -= take
-        holding += t * take
-        for p in reversed(points):
-            if need <= 0.0:
-                break
-            take = min(spare[p], need)
-            alloc[p] += take
-            spare[p] -= take
-            need -= take
-            holding += (t - p) * take
-        if need > _COVER_SLACK:
+        served = _serve_cycle(t, inputs.worst[t], stock, holding, points, spare, alloc)
+        if served is None:
             return None
+        stock, holding = served
     return alloc, spare, stock, holding
 
 
@@ -617,7 +696,9 @@ class _Searcher:
     search computes both children's lot-sizing bounds (:meth:`_node_bound`,
     a lower bound on the resolved cost of every completion) and visits the
     smaller first, the no-order child on ties, so the first leaf it reaches
-    is the one a dive along the bound reaches.  A child is skipped once its
+    is the one a dive along the bound reaches.  Each child's bound reads its
+    served state, its parent's extended by one cycle (:meth:`_served`), so
+    no bound re-serves the decided cycles.  A child is skipped once its
     bound is infinite (no completion can cover worst-case demand) or exceeds
     the incumbent's cost.  ``nodes`` counts the bounds computed, the root's
     included.  Full schedules are scored on the resolved store with robust
@@ -655,6 +736,8 @@ class _Searcher:
         self._cap_slack = ulps * b_q + n * _COVER_SLACK
         self._margin = ulps * b + (v_lo + self.h_lo * n) * n * _COVER_SLACK
         self._open_costs = self._open_cost_table()
+        # The served state of the empty schedule (see _served).
+        self._root = ((), [], inst.initial_stock, 0.0)
         self.nodes = 0
         # The store counters of every leaf re-solve, summed.
         self.stats = dict.fromkeys(DomainStore().stats, 0)
@@ -721,8 +804,8 @@ class _Searcher:
 
     def run(self) -> None:
         self.nodes += 1
-        if self._node_bound([]) < math.inf:
-            self._dfs([])
+        if self._node_bound([], self._root) < math.inf:
+            self._dfs([], self._root)
 
     def result(self, started: float) -> SearchResult:
         """The search's counters and the winner's report."""
@@ -738,20 +821,37 @@ class _Searcher:
             wall_time_s=time.perf_counter() - started,
         )
 
-    def _node_bound(self, path: list[bool]) -> float:
-        # A lower bound on the resolved cost of every completion of ``path``;
-        # inf when none can be covered.  The decided cycles are served
-        # exactly as robust_order_sizes serves them.  Their orders' spare
-        # capacity and the initial stock left over then cap the R of the
-        # open cycles' table entries, and the latest decided order, at p (0
+    def _served(self, served, flag: bool):
+        # The served state of a child: its parent's ``served`` state
+        # extended by one cycle decided by ``flag``, served by _serve_cycle
+        # as robust_order_sizes serves it; None when the caps cannot cover
+        # that cycle.  A state is (order points, each decided cycle's spare
+        # capacity, initial stock left, holding), and the spare list is the
+        # child's own.
+        points, spare, stock, holding = served
+        t = len(spare)
+        if flag:
+            points = (*points, t)
+            spare = [*spare, self.inst.x_max]
+        else:
+            spare = [*spare, 0.0]
+        served = _serve_cycle(t, self.worst[t], stock, holding, points, spare)
+        if served is None:
+            return None
+        return points, spare, *served
+
+    def _node_bound(self, path: list[bool], served) -> float:
+        # A lower bound on the resolved cost of every completion of ``path``,
+        # whose decided cycles are served as ``served`` (see _served); inf
+        # when none can be covered.  The spare capacity of the decided
+        # orders and the initial stock left over cap the R of the open
+        # cycles' table entries, and the latest decided order, at p (0
         # without one), is the latest cycle that supply can come from.
-        served = _serve_latest_first(self.inputs, path)
         if served is None:
             return math.inf
-        _, spare, stock, holding = served
+        points, spare, stock, holding = served
         cap = sum(spare) + stock + self._cap_slack
-        p = max((t for t, flag in enumerate(path) if flag), default=0)
-        credit = self.h_lo * p
+        credit = self.h_lo * (points[-1] if points else 0)
         future = math.inf
         for r, c in self._open_costs[len(path)]:
             if r > cap:
@@ -759,28 +859,37 @@ class _Searcher:
             if c - credit * r < future:
                 future = c - credit * r
         return (
-            self.a_lo * sum(path)
+            self.a_lo * len(points)
             + self.purchase_lo
             + self.h_lo * holding
             + future
             - self._margin
         )
 
-    def _dfs(self, path: list[bool]) -> None:
-        # Visits the children of a partial schedule in bound order, the
-        # no-order child on ties.  A child whose bound is infinite or exceeds
-        # the incumbent by the time it is reached is skipped, and so is the
-        # one after it: its bound is no smaller and the incumbent only falls.
-        children = sorted((self._node_bound([*path, flag]), flag) for flag in (False, True))
+    def _dfs(self, path: list[bool], served) -> None:
+        # Visits the children of a partial schedule, served as ``served``, in
+        # bound order, the no-order child on ties.  A child whose bound is
+        # infinite or exceeds the incumbent by the time it is reached is
+        # skipped, and so is the one after it: its bound is no smaller and the
+        # incumbent only falls.  A visited child's state is served again from
+        # ``served``, one cycle, rather than kept from its bound: keeping both
+        # children's states at every level of the path raised the peak memory
+        # of an h12 search by about a tenth, for no measurable time.
+        bounds = []
+        for flag in (False, True):
+            path.append(flag)
+            bounds.append(self._node_bound(path, self._served(served, flag)))
+            path.pop()
         self.nodes += 2
-        for bound, flag in children:
+        for flag in (False, True) if bounds[0] <= bounds[1] else (True, False):
+            bound = bounds[flag]
             if bound == math.inf or (
                 self.incumbent is not None and bound > self.incumbent[1] + TOLERANCE
             ):
                 return
             path.append(flag)
             if len(path) < self.inst.horizon:
-                self._dfs(path)
+                self._dfs(path, self._served(served, flag))
             else:
                 self._score(tuple(path))
             path.pop()

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from pboxcdf.arith import QuantileInterval
 from pboxcdf.inventory import InventoryInstance
 from pboxcdf.pbox import (
     ObservationSet,
@@ -11,6 +13,26 @@ from pboxcdf.pbox import (
     envelope,
     point_mass,
 )
+
+
+# Reference interval arithmetic on float endpoints.  The engine's add
+# propagator and combine_bindings add and subtract endpoints inline; the
+# tests check them against these formulas.
+
+
+def add_bounds(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[float, float]:
+    return a_lo + b_lo, a_hi + b_hi
+
+
+def sub_bounds(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[float, float]:
+    return a_lo - b_hi, a_hi - b_lo
+
+
+def checked(lo: float, hi: float) -> QuantileInterval:
+    """The range [lo, hi]; an overflowed bound is an error."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval arithmetic overflowed to [{lo!r}, {hi!r}]")
+    return QuantileInterval(lo, hi)
 
 
 def random_observations(rng: random.Random, min_entries: int = 2, max_entries: int = 8) -> ObservationSet:

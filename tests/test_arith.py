@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pboxcdf.arith import (
-    QuantileInterval,
-    add_bounds,
-    checked,
-    div_bounds,
-    mul_bounds,
-    slide,
-    sub_bounds,
-)
+from pboxcdf.arith import QuantileInterval, div_bounds, mul_bounds, slide
 from pboxcdf.pbox import (
     CdfPoint,
     DivisorStraddlesZero,
@@ -21,7 +13,7 @@ from pboxcdf.pbox import (
     check_dominance,
 )
 
-from conftest import random_envelope
+from conftest import add_bounds, checked, random_envelope, sub_bounds
 
 
 def qi(lo, hi):

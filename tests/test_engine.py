@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pboxcdf import engine
-from pboxcdf.arith import add_bounds, div_bounds, mul_bounds, sub_bounds
+from pboxcdf.arith import div_bounds, mul_bounds
 from pboxcdf.engine import (
     CONSISTENT,
     FAILED,
@@ -24,7 +24,7 @@ from pboxcdf.pbox import (
     project,
 )
 
-from conftest import random_domain, random_envelope
+from conftest import add_bounds, random_domain, random_envelope, sub_bounds
 
 EX3_I = PboxInterval(CdfPoint(10, 0.14, 0.016), CdfPoint(80, 0.49, 0.06))
 EX3_J = PboxInterval(CdfPoint(20, 0.06, 0.025), CdfPoint(90, 0.9, 0.014))
@@ -744,6 +744,28 @@ class TestCloneAndTighten:
         twin.post(Constraint("add", (x, y, z)))
         assert len(store.constraints) == 0
         assert len(twin.constraints) == 1
+
+    def test_fork_propagates_like_a_store_posted_anew(self):
+        # A fork of a solved store restarts from its own domains over the
+        # same constraints, queued in posting order, with zeroed counters.
+        domains = [convex_interval(0.0, 10.0), convex_interval(2.0, 10.0), convex_interval(0.0, 8.0)]
+        store, (x, y, z) = _store_with(*domains)
+        store.post(Constraint("leq", (x, y)))
+        store.post(Constraint("add", (x, y, z)))
+        store.propagate()
+        narrower = [convex_interval(1.0, 3.0), *domains[1:]]
+        fresh, _ = _store_with(*narrower)
+        fresh.post(Constraint("leq", (x, y)))
+        fresh.post(Constraint("add", (x, y, z)))
+        fork = store.fork(list(narrower))
+        assert fork.stats == dict.fromkeys(store.stats, 0)
+        assert fork.propagate() == fresh.propagate() == CONSISTENT
+        assert _bits(fork.domains) == _bits(fresh.domains)
+        assert fork.stats == fresh.stats
+        fork.post(Constraint("eq", (x, z)))
+        assert len(store.constraints) == 2
+        with pytest.raises(ValueError):
+            store.fork(domains[:2])
 
     def test_tighten_to_infeasible_fails_store(self):
         store, (x,) = _store_with(convex_interval(0, 10))

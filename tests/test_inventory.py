@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pboxcdf import inventory
-from pboxcdf.arith import add_bounds, checked, mul_bounds, sub_bounds
-from pboxcdf.engine import CONSISTENT, FAILED
+from pboxcdf.arith import mul_bounds
+from pboxcdf.engine import CONSISTENT, FAILED, Constraint
 from pboxcdf.inventory import (
     MODES,
     InventoryInstance,
+    ModelVars,
     build_model,
     combine_bindings,
     default_instance,
@@ -41,7 +42,14 @@ from pboxcdf.pbox import (
     upper_at,
 )
 
-from conftest import random_envelope, random_scalar_instance, strip_keys
+from conftest import (
+    add_bounds,
+    checked,
+    random_envelope,
+    random_scalar_instance,
+    strip_keys,
+    sub_bounds,
+)
 
 
 def scalar_instance(n, demands, a=10.0, h=1.0, v=2.0, i0=0.0, x_min=1.0, x_max=40.0):
@@ -458,6 +466,62 @@ class TestBuildModel:
         long, _ = build_model(model_inputs(default_instance(24, 42), mode), [True] * 24)
         assert (len(long.domains), len(long.constraints)) == (128, 53)
 
+    def test_growing_one_network_leaves_the_next_build_unchanged(self):
+        # Every network of a run is forked from one topology, so a variable
+        # or constraint added to a built store, or to its clone, must not
+        # reach the next build.
+        inputs = model_inputs(default_instance(5, 3))
+        schedule = [True, False, True, False, True]
+        first, mv = build_model(inputs, schedule)
+        names, constraints = list(first.names), list(first.constraints)
+        watchers = [list(w) for w in first._watchers]
+        twin = first.clone()
+        first.post(Constraint("add", (mv.holding, mv.tc, mv.tc)))
+        extra = twin.new_var(1.0, name="extra")
+        twin.post(Constraint("add", (mv.order[0], extra, mv.tc)))
+        grown, grown_mv = build_model(inputs, schedule)
+        build_model(inputs, schedule)[0].clone().new_var(2.0, name="other")
+        for store in (grown, build_model(inputs, schedule)[0]):
+            assert store.names == names
+            assert store.constraints == constraints
+            assert store._watchers == watchers
+        assert grown_mv == mv
+        # The forked store propagates as a build from fresh inputs does.
+        fresh, _ = build_model(model_inputs(default_instance(5, 3)), schedule)
+        assert grown.propagate() == fresh.propagate() == CONSISTENT
+        assert grown.domains == fresh.domains
+        assert grown.stats == fresh.stats
+
+    def test_early_failures_build_failed_stores(self):
+        # The first cycle's stock cannot reach 0: it has demand and no order.
+        inst = scalar_instance(2, [5.0, 5.0])
+        stock_below_zero, _ = build_model(model_inputs(inst), [False, True])
+        # Each cycle's stock binding can reach 0, but the order caps cannot
+        # cover the worst-case total demand.
+        wide = convex_interval(1.0, 10.0)
+        inst = scalar_instance(2, [wide, wide], x_max=6.0)
+        orders_short, _ = build_model(model_inputs(inst), [True, True])
+        for store in (stock_below_zero, orders_short):
+            assert store.propagate() == FAILED
+
+    def test_single_cycle_sums_are_their_own_terms(self):
+        inst = scalar_instance(1, [5.0], x_max=10.0)
+        store, mv = build_model(model_inputs(inst), [True])
+        assert store.names == [
+            "h", "v", "stock0", "demand1", "order1", "ordering_cost1", "supply1",
+            "stock1", "total_holding", "total_purchase", "total_cost",
+        ]
+        assert store.constraints == [
+            Constraint("add", (2, 4, 6)),
+            Constraint("sub", (6, 3, 7)),
+            Constraint("mul", (0, 7, 8)),
+            Constraint("mul", (1, 4, 9)),
+            Constraint("add", (5, 8, 9, 10)),
+        ]
+        assert mv == ModelVars(
+            order=(4,), stock=(7,), demand=(3,), order_cost=(5,), total_orders=4, tc=10, holding=8
+        )
+
     def test_every_domain_passes_dominance_after_propagation(self, rng):
         inst = default_instance(6, 13)
         store, _ = build_model(model_inputs(inst), [True] * 6)
@@ -557,8 +621,46 @@ def _prefix_bounds(inst, mode="pbox"):
     for depth in range(inst.horizon - 1, -1, -1):
         for flags in product((False, True), repeat=depth):
             best[flags] = min(best[flags + (False,)], best[flags + (True,)])
-    bounds = {path: (searcher._node_bound(list(path)), b) for path, b in best.items()}
+    served = served_states(searcher, inst.horizon)
+    bounds = {path: (searcher._node_bound(list(path), served[path]), b) for path, b in best.items()}
     return bounds, winner
+
+
+def served_states(searcher, horizon):
+    """The search's served state of every prefix of the schedule tree, each
+    extended from its parent's as the search extends it; None once a cycle
+    is left uncovered."""
+    states = {(): searcher._root}
+    for depth in range(horizon):
+        for path in product((False, True), repeat=depth):
+            parent = states[path]
+            for flag in (False, True):
+                states[path + (flag,)] = None if parent is None else searcher._served(parent, flag)
+    return states
+
+
+def served_sweep(seed, instances, max_horizon):
+    """Checks, on every prefix of ``instances`` random instances (the same
+    ones as ``bound_sweep`` with the same arguments), that the served state
+    the search carries down its tree equals a serving of the whole prefix by
+    ``_serve_latest_first``, bit for bit; returns the prefixes compared."""
+    rng = random.Random(seed)
+    compared = 0
+    for k in range(instances):
+        inst = _bound_instance(rng, max_horizon)
+        inputs = model_inputs(inst, MODES[k % 2])
+        for path, served in served_states(inventory._Searcher(inputs), inst.horizon).items():
+            whole = inventory._serve_latest_first(inputs, path)
+            if whole is None:
+                assert served is None, (inst, path)
+            else:
+                _, spare, stock, holding = whole
+                points = tuple(t for t, flag in enumerate(path) if flag)
+                want = (points, [x.hex() for x in spare], stock.hex(), holding.hex())
+                got = (served[0], [x.hex() for x in served[1]], served[2].hex(), served[3].hex())
+                assert got == want, (inst, path)
+            compared += 1
+    return compared
 
 
 def bound_sweep(seed, instances, max_horizon):
@@ -595,6 +697,10 @@ class TestNodeBound:
         # A larger sweep runs in CI: bound_sweep(1, 1000, 9).
         tight, undecided = bound_sweep(15, 400, 7)
         assert undecided > 1000
+
+    def test_carried_state_matches_serving_the_whole_path(self):
+        # A larger sweep runs in CI: served_sweep(1, 1000, 12).
+        assert served_sweep(15, 400, 7) > 20_000
 
     def test_overflow_goes_back_to_the_earlier_order(self):
         # Worst demands 52, 52, 52 under x_max 100: orders at cycles 1 and 2
@@ -748,9 +854,9 @@ class TestSearch:
         real_bound = inventory._Searcher._node_bound
         real_resolve = inventory._resolve
 
-        def counting_bound(self, path):
+        def counting_bound(self, path, served):
             bounds.append(tuple(path))
-            return real_bound(self, path)
+            return real_bound(self, path, served)
 
         def counting_resolve(inputs, schedule):
             resolved.append(tuple(schedule))
@@ -773,6 +879,15 @@ class TestSearch:
             assert pbox.status == convex.status == "optimal"
             assert pbox.best.schedule == convex.best.schedule
             assert pbox.nodes == convex.nodes <= 100
+
+    def test_results_match_golden_h7_to_h12(self):
+        # search(...).to_dict() at h7, h10 and h12 under seeds 0-4 and both
+        # models, node counts and store counters included, stored as JSON
+        # (which round-trips floats exactly); wall times are left out.
+        golden = Path(__file__).parent / "data" / "search_best_h7_h12.json"
+        for row in json.loads(golden.read_text()):
+            result = search(default_instance(row["horizon"], row["seed"]), row["model"])
+            assert strip_keys(result.to_dict(), ("wall_time_s",)) == row["result"], row
 
     def test_winners_match_golden_beyond_h24(self):
         # Schedules and resolved total-cost lower bounds of the h48 and h96
