@@ -99,10 +99,9 @@ class DomainStore:
         self.constraints: list[Constraint] = []
         self._watchers: list[list[int]] = []
         self._is_sum: list[bool] = []
-        # The wake queue.  While propagate runs, n-ary sums wait apart in
-        # _sums; otherwise _sums is _queue.
+        # The wake queues: n-ary sums wait in _sums, every other kind in _queue.
         self._queue: deque[int] = deque()
-        self._sums: deque[int] = self._queue
+        self._sums: deque[int] = deque()
         self._queued: list[bool] = []
         self.status: str = CONSISTENT
         self.stats = {
@@ -150,7 +149,8 @@ class DomainStore:
     def clone(self) -> "DomainStore":
         """Independent copy sharing the (append-only) constraint topology."""
         other = self._sharing(list(self.domains))
-        other._queue = other._sums = deque(self._queue)
+        other._queue = deque(self._queue)
+        other._sums = deque(self._sums)
         other._queued = list(self._queued)
         other.status = self.status
         other.stats = dict(self.stats)
@@ -165,7 +165,8 @@ class DomainStore:
             raise ValueError(f"expected {len(self.names)} domains, got {len(domains)}")
         n = len(self.constraints)
         other = self._sharing(domains)
-        other._queue = other._sums = deque(range(n))
+        other._queue = deque(idx for idx in range(n) if not self._is_sum[idx])
+        other._sums = deque(idx for idx in range(n) if self._is_sum[idx])
         other._queued = [True] * n
         other.status = CONSISTENT
         other.stats = dict.fromkeys(self.stats, 0)
@@ -273,13 +274,8 @@ class DomainStore:
         """
         if self.status == FAILED:
             return FAILED
-        queue = self._queue
-        if not queue:
+        if not (self._queue or self._sums):
             return CONSISTENT
-        sums = self._sums = deque()
-        for _ in range(len(queue)):
-            idx = queue.popleft()
-            self._queue_of(idx).append(idx)
         domains = self.domains
         self._lo = [d.lo.q for d in domains]
         self._hi = [d.hi.q for d in domains]
@@ -297,8 +293,6 @@ class DomainStore:
                 return FAILED
             raise
         finally:
-            queue.extend(sums)
-            self._sums = queue
             self._lo = self._hi = self._moved = None
 
     def _fixpoint(self) -> str:

@@ -4,8 +4,8 @@ A horizon of demand cycles is modelled as a constraint network: per-cycle
 order and stock variables tied by flow balance, cost terms accumulated into
 a total cost, and non-negativity as quantile lower bounds.  Search decides
 the boolean replenishment schedule by depth-first branch and bound on a
-lot-sizing bound; each full schedule's network is propagated with its
-orders pinned to the cheapest worst-case-covering sizes.
+lot-sizing bound, in arithmetic alone; the near-ties of the least cost get
+networks, propagated with orders pinned to the cheapest covering sizes.
 """
 
 from __future__ import annotations
@@ -669,7 +669,7 @@ class SearchResult:
     best: ScheduleReport | None
     nodes: int
     clones: int  # Always 0: the search clones no store.
-    # Store counters of the search: the sum over every leaf it re-solved.
+    # Store counters of the search: the sum over the near-ties it re-solved.
     stats: dict
     wall_time_s: float
 
@@ -685,27 +685,21 @@ class SearchResult:
         }
 
 
-def _schedule_key(tc_lo: float, schedule: tuple[bool, ...]):
-    return (tc_lo, sum(schedule), schedule)
-
-
 class _Searcher:
     """Depth-first branch and bound over the replenishment flags.
 
-    Cycles are decided left to right.  At each visited partial schedule the
-    search computes both children's lot-sizing bounds (:meth:`_node_bound`,
-    a lower bound on the resolved cost of every completion) and visits the
-    smaller first, the no-order child on ties, so the first leaf it reaches
-    is the one a dive along the bound reaches.  Each child's bound reads its
-    served state, its parent's extended by one cycle (:meth:`_served`), so
-    no bound re-serves the decided cycles.  A child is skipped once its
-    bound is infinite (no completion can cover worst-case demand) or exceeds
-    the incumbent's cost.  ``nodes`` counts the bounds computed, the root's
-    included.  Full schedules are scored on the resolved store with robust
-    order sizes; schedules whose caps cannot cover worst-case demand are
-    infeasible.  The incumbent keeps its resolved report fields, so
-    :meth:`result` only adds the relaxed network's cost to complete the
-    winner's report.
+    Cycles are decided left to right, in one loop over an explicit stack
+    (:meth:`run`).  At each visited partial schedule the search computes
+    both children's lot-sizing bounds (:meth:`_node_bound`, a lower bound
+    on the resolved cost of every completion) and visits the smaller first,
+    the no-order child on ties.  Each child's bound reads its served state,
+    its parent's extended by one cycle (:meth:`_served`), so no bound
+    re-serves the decided cycles.  A child is skipped once its bound is
+    infinite (no completion can cover worst-case demand) or exceeds the
+    least leaf cost.  ``nodes`` counts the bounds computed, the root's
+    included.  The walk is arithmetic: a leaf is scored on its resolved
+    cost computed from its served state (:meth:`_leaf_cost`), and only
+    :meth:`result` builds networks, for the near-ties of the least cost.
     """
 
     def __init__(self, inputs: ModelInputs):
@@ -716,33 +710,35 @@ class _Searcher:
         self.worst = inputs.worst
         self.a_lo = inputs.ordering_cost.lo.q
         self.h_lo = inputs.holding_cost.lo.q
-        v_lo = inputs.unit_cost.lo.q
+        self.v_lo = v_lo = inputs.unit_cost.lo.q
         self.purchase_lo = v_lo * max(0.0, sum(self.worst) - inst.initial_stock)
-        # Rounding margins of _node_bound.  Let u = 2^-53.  Every quantity
-        # there (demand, stock, order capacity, R, pool) lies in [0, B_q],
-        # and every cost term in [0, B].  Each float value is formed by at
-        # most (n+2)^2 roundings over terms whose magnitudes sum to at most
-        # (n+2)*B, so it is within (n+2)^3*u*B of its exact value; the
-        # resolved store's tc.lo.q, a forward sum over the same cycles, is
-        # too.  The cost margin 4*(n+2)^3*2^-52*B is four times the two
-        # errors together.  Covering also leaves up to _COVER_SLACK of each
+        # Rounding margins of _node_bound and _leaf_cost.  Let u = 2^-53.
+        # Every quantity there (demand, stock, order capacity, R, pool) lies
+        # in [0, B_q], and every cost term in [0, B].  Each float value is
+        # formed by at most (n+2)^2 roundings over terms whose magnitudes sum
+        # to at most (n+2)*B, so it is within e = (n+2)^3*u*B of its exact
+        # value; the resolved store's tc.lo.q, a forward sum over the same
+        # cycles, is too.  Covering also leaves up to _COVER_SLACK of each
         # cycle's demand unserved, so a covered completion may need up to
-        # n*_COVER_SLACK more than the decided supply and pay up to
-        # (v_lo + h_lo*n) per unit less for it; the cap on R and the cost
-        # margin include that.
+        # n*_COVER_SLACK more than the decided supply and pay up to S =
+        # (v_lo + h_lo*n)*n*_COVER_SLACK less for it; the cap on R includes
+        # that.  The cost margin is 8e + 2S.  A leaf's cost then lies within
+        # 2e + S, half the margin, of its tc.lo.q, so the leaves within the
+        # margin of the least cost hold the winner, and no pruned leaf's
+        # tc.lo.q is below that of the least-cost leaf.
         b_q = inst.initial_stock + sum(self.worst) + n * inst.x_max
         b = self.a_lo * n + (v_lo + 2.0 * self.h_lo * n) * b_q
         ulps = 4.0 * (n + 2) ** 3 * 2.0**-52
         self._cap_slack = ulps * b_q + n * _COVER_SLACK
-        self._margin = ulps * b + (v_lo + self.h_lo * n) * n * _COVER_SLACK
+        self._margin = ulps * b + 2.0 * (v_lo + self.h_lo * n) * n * _COVER_SLACK
         self._open_costs = self._open_cost_table()
         # The served state of the empty schedule (see _served).
         self._root = ((), [], inst.initial_stock, 0.0)
         self.nodes = 0
-        # The store counters of every leaf re-solve, summed.
-        self.stats = dict.fromkeys(DomainStore().stats, 0)
-        # The best scored leaf as (schedule, tc.lo.q, resolved report fields).
-        self.incumbent = None
+        # The least leaf cost, and the near-ties: the (cost, schedule) of
+        # every leaf within _margin of it, among which the winner lies.
+        self.least = math.inf
+        self.ties: list[tuple[float, tuple[bool, ...]]] = []
 
     def _open_cost_table(self) -> list[list[tuple[float, float]]]:
         # table[d]: (R, c) pairs over the order choices of the open cycles
@@ -788,36 +784,79 @@ class _Searcher:
             states = dict(kept)
         return table
 
-    def _score(self, schedule: tuple[bool, ...]) -> None:
-        # A leaf costs one pinned build and propagation: once the caps cover
-        # worst-case demand, the covering sizes are a scenario of the relaxed
-        # network, so that network cannot fail where the pinned one holds.
-        fields = _resolve(self.inputs, schedule)
-        if fields is None:
-            return
-        for key in self.stats:
-            self.stats[key] += fields["stats"][key]
-        tc_lo = fields["tc"].lo.q
-        best = self.incumbent
-        if best is None or _schedule_key(tc_lo, schedule) < _schedule_key(best[1], best[0]):
-            self.incumbent = (schedule, tc_lo, fields)
-
     def run(self) -> None:
-        self.nodes += 1
-        if self._node_bound([], self._root) < math.inf:
-            self._dfs([], self._root)
+        # Pops (bound, flag, parent path, parent state) entries.  A child is
+        # skipped once its bound exceeds the least cost, and so is its sibling
+        # below it, whose bound is no smaller while the least cost only falls.
+        # A child is served from its parent's state when popped, so the stack
+        # holds only the states on the current path.
+        self.nodes = 1
+        stack = []
+        if self._node_bound((), self._root) < math.inf:
+            self._branch(stack, (), self._root)
+        while stack:
+            bound, flag, path, served = stack.pop()
+            if bound == math.inf or bound > self.least + TOLERANCE:
+                continue
+            path, served = (*path, flag), self._served(served, flag)
+            if len(path) < self.inst.horizon:
+                self._branch(stack, path, served)
+            else:
+                self._score(path, served)
+
+    def _branch(self, stack: list, path: tuple[bool, ...], served) -> None:
+        # Pushes both children of a visited partial schedule so that the
+        # smaller bound pops first, the no-order child on ties.
+        bounds = [self._node_bound((*path, f), self._served(served, f)) for f in (False, True)]
+        self.nodes += 2
+        for flag in (True, False) if bounds[0] <= bounds[1] else (False, True):
+            stack.append((bounds[flag], flag, path, served))
+
+    def _leaf_cost(self, served) -> float:
+        # The resolved tc.lo.q of a covered leaf, from its served state:
+        # a_lo*orders + v_lo*sum(sizes) + h_lo*sum(stock_t) at worst-case
+        # demand.  The sizes are the allocations raised to x_min; the
+        # initial stock left over is held n cycles, a raise at cycle p n - p.
+        points, spare, stock, holding = served
+        n, x_min, x_max = self.inst.horizon, self.inst.x_min, self.inst.x_max
+        bought, held = 0.0, holding + n * stock
+        for p in points:
+            size = x_max - spare[p]
+            if size < x_min:
+                held += (n - p) * (x_min - size)
+                size = x_min
+            bought += size
+        return self.a_lo * len(points) + self.v_lo * bought + self.h_lo * held
+
+    def _score(self, schedule: tuple[bool, ...], served) -> None:
+        cost = self._leaf_cost(served)
+        if cost < self.least:
+            self.least = cost
+            self.ties = [tie for tie in self.ties if tie[0] <= cost + self._margin]
+        if cost <= self.least + self._margin:
+            self.ties.append((cost, schedule))
 
     def result(self, started: float) -> SearchResult:
-        """The search's counters and the winner's report."""
-        best = None
-        if self.incumbent is not None:
-            best = _report(self.inputs, self.incumbent[0], self.incumbent[2], started)
+        """The search's counters and the winner's report: the near-ties are
+        re-solved with robust order sizes, the least ``(tc.lo.q,
+        replenishments, schedule)`` wins, and its relaxed network's cost
+        completes its report.  That network holds wherever the pinned one
+        does: the covering sizes are one of its scenarios."""
+        stats = dict.fromkeys(DomainStore().stats, 0)
+        solved = {}
+        for _, schedule in self.ties:
+            fields = _resolve(self.inputs, schedule)
+            if fields is not None:
+                solved[schedule] = fields
+                for key in stats:
+                    stats[key] += fields["stats"][key]
+        winner = min(solved, key=lambda s: (solved[s]["tc"].lo.q, sum(s), s), default=None)
         return SearchResult(
-            status="optimal" if self.incumbent is not None else "infeasible",
-            best=best,
+            status="optimal" if solved else "infeasible",
+            best=None if winner is None else _report(self.inputs, winner, solved[winner], started),
             nodes=self.nodes,
             clones=0,
-            stats=self.stats,
+            stats=stats,
             wall_time_s=time.perf_counter() - started,
         )
 
@@ -840,7 +879,7 @@ class _Searcher:
             return None
         return points, spare, *served
 
-    def _node_bound(self, path: list[bool], served) -> float:
+    def _node_bound(self, path: tuple[bool, ...], served) -> float:
         # A lower bound on the resolved cost of every completion of ``path``,
         # whose decided cycles are served as ``served`` (see _served); inf
         # when none can be covered.  The spare capacity of the decided
@@ -865,34 +904,6 @@ class _Searcher:
             + future
             - self._margin
         )
-
-    def _dfs(self, path: list[bool], served) -> None:
-        # Visits the children of a partial schedule, served as ``served``, in
-        # bound order, the no-order child on ties.  A child whose bound is
-        # infinite or exceeds the incumbent by the time it is reached is
-        # skipped, and so is the one after it: its bound is no smaller and the
-        # incumbent only falls.  A visited child's state is served again from
-        # ``served``, one cycle, rather than kept from its bound: keeping both
-        # children's states at every level of the path raised the peak memory
-        # of an h12 search by about a tenth, for no measurable time.
-        bounds = []
-        for flag in (False, True):
-            path.append(flag)
-            bounds.append(self._node_bound(path, self._served(served, flag)))
-            path.pop()
-        self.nodes += 2
-        for flag in (False, True) if bounds[0] <= bounds[1] else (True, False):
-            bound = bounds[flag]
-            if bound == math.inf or (
-                self.incumbent is not None and bound > self.incumbent[1] + TOLERANCE
-            ):
-                return
-            path.append(flag)
-            if len(path) < self.inst.horizon:
-                self._dfs(path, self._served(served, flag))
-            else:
-                self._score(tuple(path))
-            path.pop()
 
 
 def search(inst: InventoryInstance, mode: str = "pbox") -> SearchResult:
@@ -984,8 +995,8 @@ def run_benchmark(
 
     Rows record wall time, an allocation counter (domain writes stand in
     for heap metrics) and the search's store counters (``stats``, summed
-    over every leaf it re-solved; ``best.stats`` count the winner's pinned
-    re-solve alone).  Under the p-box model each row also carries the
+    over the near-ties it re-solved; ``best.stats`` count the winner's
+    pinned re-solve alone).  Under the p-box model each row also carries the
     convex evaluation of the winning schedule and containment checks of the
     total-cost intervals.  A given ``instance`` replaces the seeded ones: it
     runs once, and the report's horizons and order bounds are its own, with

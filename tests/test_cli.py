@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -335,6 +336,16 @@ class TestBench:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["rows"][0]["horizon"] == 3
+
+    def test_every_cycle_ordering_at_h1000(self, tmp_path):
+        # Every one of the 1 000 cycles must order, so the search goes as deep
+        # as Python's default recursion limit; the bench still exits 0.
+        instance = Path(__file__).parent / "data" / "forced_h1000.json"
+        out = tmp_path / "report.json"
+        assert main(["bench", "--input", str(instance), "--out", str(out)]) == 0
+        row = json.loads(out.read_text())["rows"][0]
+        assert row["status"] == "optimal"
+        assert row["best"]["replenishments"] == 1000
 
     @pytest.mark.parametrize(
         "obj, message",

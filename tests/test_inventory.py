@@ -52,6 +52,16 @@ from conftest import (
 )
 
 
+# Demand 30 in each of 1 000 cycles under an order cap of 30.
+FORCED_H1000 = Path(__file__).parent / "data" / "forced_h1000.json"
+
+
+def tied_instance():
+    """h7 seed 4 without holding cost, where seven covered leaves cost
+    exactly the least cost."""
+    return dataclasses.replace(default_instance(7, 4), holding_cost=0.0)
+
+
 def scalar_instance(n, demands, a=10.0, h=1.0, v=2.0, i0=0.0, x_min=1.0, x_max=40.0):
     return InventoryInstance(
         horizon=n,
@@ -607,21 +617,27 @@ def _prefix_bounds(inst, mode="pbox"):
     search's lot-sizing bound and the least resolved ``tc.lo.q`` of the
     prefix's completions, inf when the caps cover none of them; and the
     least ``(tc.lo.q, replenishments, schedule)`` of all leaves, None when
-    none is covered."""
+    none is covered.  Also checks that a leaf is covered (its served state
+    is not None) exactly when it resolves, and that a covered leaf's scalar
+    cost lies within half the search's margin of its resolved ``tc.lo.q``:
+    the near-ties the search re-solves then hold the winner."""
     inputs = model_inputs(inst, mode)
     searcher = inventory._Searcher(inputs)
+    served = served_states(searcher, inst.horizon)
     best = {}
     winner = None
     for flags in product((False, True), repeat=inst.horizon):
         fields = inventory._resolve(inputs, flags)
+        assert (served[flags] is None) == (fields is None), (inst, flags)
         best[flags] = math.inf if fields is None else fields["tc"].lo.q
         if fields is not None:
+            gap = abs(searcher._leaf_cost(served[flags]) - best[flags])
+            assert gap <= searcher._margin / 2, (inst, flags, gap, searcher._margin)
             key = (best[flags], sum(flags), flags)
             winner = key if winner is None else min(winner, key)
     for depth in range(inst.horizon - 1, -1, -1):
         for flags in product((False, True), repeat=depth):
             best[flags] = min(best[flags + (False,)], best[flags + (True,)])
-    served = served_states(searcher, inst.horizon)
     bounds = {path: (searcher._node_bound(list(path), served[path]), b) for path, b in best.items()}
     return bounds, winner
 
@@ -669,7 +685,9 @@ def bound_sweep(seed, instances, max_horizon):
     completion, it is infinite exactly where no completion is covered, and
     it comes within 1e-6 of the best completion on at least a third of the
     undecided prefixes that have one.  Also checks that the search returns
-    the enumerated winner, or ``infeasible`` when no leaf is covered."""
+    the enumerated winner, or ``infeasible`` when no leaf is covered, and
+    (by ``_prefix_bounds``) that every covered leaf's scalar cost lies
+    within half the search's margin of its resolved cost."""
     rng = random.Random(seed)
     tight = undecided = 0
     for k in range(instances):
@@ -825,7 +843,8 @@ class TestSearch:
             run_benchmark([3], seed=0, model="bogus")
 
     def test_each_leaf_is_resolved_once(self, monkeypatch):
-        # Leaves cost one pinned network; the winner's report reuses its own.
+        # Only the near-ties cost a pinned network, one each; the winner's
+        # report reuses its own.
         resolved, evaluated = [], []
         real_resolve = inventory._resolve
         real_evaluate = inventory.evaluate_schedule
@@ -868,6 +887,35 @@ class TestSearch:
         assert result.status == "optimal"
         assert result.nodes == len(bounds) == len(set(bounds))
         assert len(resolved) == len(set(resolved))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_near_ties_pick_the_least_resolved_key(self, monkeypatch, mode):
+        # Seven covered leaves tie exactly at the least cost.  The search
+        # re-solves those seven alone, once each, and its winner is the least
+        # (tc.lo.q, replenishments, schedule) over every leaf resolved.
+        inst = tied_instance()
+        _, winner = _prefix_bounds(inst, mode)
+        resolved = []
+        real_resolve = inventory._resolve
+
+        def counting_resolve(inputs, schedule):
+            resolved.append(tuple(schedule))
+            return real_resolve(inputs, schedule)
+
+        monkeypatch.setattr(inventory, "_resolve", counting_resolve)
+        best = search(inst, mode).best
+        assert (best.tc.lo.q, best.replenishments, best.schedule) == winner
+        assert len(resolved) == len(set(resolved)) == 7
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_cycle_ordering_at_h1000(self, mode):
+        # Demand meets the order cap in every cycle, so every cycle orders:
+        # the walk goes down one path 1 000 cycles deep, as deep as Python's
+        # default recursion limit.
+        result = search(InventoryInstance.from_file(FORCED_H1000), mode)
+        assert result.status == "optimal"
+        assert result.nodes == 2001
+        assert result.best.replenishments == 1000
 
     def test_h24_seed_spread_models_agree(self):
         # Both models pick the same schedule over the same search tree at
@@ -1010,10 +1058,10 @@ class TestBenchmark:
         assert cont["cdf_tighter_than_convex"]
 
     def test_domain_writes_count_the_search(self, monkeypatch):
-        # The search propagates only the leaves it re-solves, so its
-        # counters are theirs summed.  At h7, seed 4 re-solves more than one.
+        # The search propagates only the near-ties it re-solves, so its
+        # counters are theirs summed.  The tied instance re-solves seven.
         counters = _spied_resolves(monkeypatch)
-        result = search(default_instance(7, 4))
+        result = search(tied_instance())
         assert result.nodes > 1
         assert len(counters) > 1
         assert result.stats == _summed(counters, result.stats)
@@ -1023,7 +1071,7 @@ class TestBenchmark:
         # A convex row runs no containment evaluation, so every re-solve is
         # the search's.
         counters = _spied_resolves(monkeypatch)
-        row = run_benchmark([7], seed=4, model="convex")["rows"][0]
+        row = run_benchmark([], model="convex", instance=tied_instance())["rows"][0]
         assert len(counters) > 1
         assert row["best"]["stats"]["skipped_add_passes"] > 0
         # The row's stats count every re-solve; the winner's its own alone.
