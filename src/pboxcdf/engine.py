@@ -89,8 +89,8 @@ class DomainStore:
     or a constraint, which copies it first.  ``clone`` is a cheap independent
     copy for trying narrowings on a solved store; ``fork`` starts a fresh
     store over the same topology from new domains, which is how
-    ``inventory.build_model`` fills every network of a horizon into one
-    prebuilt topology.
+    ``inventory.build_model`` fills every network of a horizon into the one
+    topology that the process keeps for that horizon.
     """
 
     def __init__(self):

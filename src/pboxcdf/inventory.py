@@ -16,7 +16,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from pathlib import Path
 
 from .pbox import (
@@ -201,10 +201,11 @@ class ModelInputs:
     """An instance's quantities as domains under one representation.
 
     Every network of one search or evaluation starts from these domains, so
-    observations are enveloped once per run.  ``worst`` holds each cycle's
-    worst-case demand, ``initial_stock`` the initial stock as a point mass
-    and ``order_range`` the range [x_min, x_max] of an order not pinned to a
-    size.
+    observations are enveloped once per run; the topology they are filled
+    into depends on the horizon alone (see :func:`_network`).  ``worst``
+    holds each cycle's worst-case demand, ``initial_stock`` the initial
+    stock as a point mass and ``order_range`` the range [x_min, x_max] of an
+    order not pinned to a size.
     """
 
     inst: InventoryInstance
@@ -215,12 +216,6 @@ class ModelInputs:
     worst: tuple[float, ...]
     initial_stock: PboxInterval
     order_range: PboxInterval
-
-    @cached_property
-    def network(self) -> tuple[DomainStore, ModelVars]:
-        """The topology that every network of the run is filled into, with
-        its variable ids (see :func:`build_model`); built on first use."""
-        return _network(self.inst.horizon)
 
 
 def model_inputs(inst: InventoryInstance, mode: str = "pbox") -> ModelInputs:
@@ -249,8 +244,6 @@ def _levelwise(f1: float, s1: float, f2: float, s2: float) -> tuple[float, float
     # average of the anchor levels.  A subnormal slope makes s 0 and f 0 * inf.
     s = 1.0 / (1.0 / s1 + 1.0 / s2)
     f = s * (f1 / s1 + f2 / s2)
-    if f != f:
-        raise ValueError(f"cdf value must lie in [0, 1], got {f!r}")
     return min(max(f, 0.0), 1.0), s
 
 
@@ -294,13 +287,14 @@ def combine_bindings(op: str, a: PboxInterval, b: PboxInterval) -> PboxInterval:
                 uppers.append((lf, ls / lo_scale))
             if hi_scale > 0.0 and (olq == ohq or hf - hs * width <= TOLERANCE):
                 lowers.append((hf, hs / hi_scale))
-        if not add and not all(math.isfinite(s) for _, s in uppers + lowers):
-            raise ValueError(f"scaled slopes overflowed: {uppers + lowers!r}")
     if add and als > 0.0 and bls > 0.0:
         uppers.append(_levelwise(alf, als, blf, bls))
     if add and ahs > 0.0 and bhs > 0.0:
         lowers.append(_levelwise(ahf, ahs, bhf, bhs))
-    uppers, lowers = uppers or [(1.0, 0.0)], lowers or [(0.0, 0.0)]
+    # A subnormal slope gives a level-wise line a nan level, or a scaled copy
+    # an overflowed slope; dropping that line loses only a vacuous bound.
+    uppers = [(f, s) for f, s in uppers if f == f and s < math.inf] or [(1.0, 0.0)]
+    lowers = [(f, s) for f, s in lowers if f == f and s < math.inf] or [(0.0, 0.0)]
     # Ties at the midpoint are frequent once lines clip there, so fall back to
     # the anchor level, then the slope; min and max keep the first of equals.
     mid = 0.5 * (lo + hi)
@@ -343,9 +337,13 @@ def _post_sum(store: DomainStore, terms: list[int], name: str) -> int:
     return total
 
 
+# A topology holds about 1.3 KB per cycle (1.3 MB at h1000), so the process
+# keeps at most 16 of them.
+@lru_cache(maxsize=16)
 def _network(horizon: int) -> tuple[DomainStore, ModelVars]:
     """The variables and constraints that every scheduling network of
-    ``horizon`` cycles shares, over placeholder domains.
+    ``horizon`` cycles shares, over placeholder domains; built once per
+    horizon for the process.
 
     Variables: ``h``, ``v`` and ``stock0``, then per cycle its demand, order,
     ordering cost, supply and stock, then the order and stock totals (a
@@ -421,10 +419,10 @@ def build_model(
     exactly, so the per-cycle products would add no bound.  A floor on the total orders prices
     purchase into the total cost's lower bound.
 
-    Every network of a run is filled into the one topology of
-    ``inputs.network`` (see :func:`_network`): this computes the initial
-    bindings in its variable order and forks a store over them.  A schedule
-    that its bindings already rule out gets an empty failed store.
+    Every network of a horizon is filled into its one topology (see
+    :func:`_network`): this computes the initial bindings in its variable
+    order and forks a store over them.  A schedule that its bindings
+    already rule out gets an empty failed store.
     """
     inst, cost = inputs.inst, inputs.ordering_cost
     if len(schedule) != inst.horizon:
@@ -472,7 +470,7 @@ def build_model(
         return _failed()
     domains += (holding, purchase, _sum_binding([*order_costs, holding, purchase]))
 
-    network, mv = inputs.network
+    network, mv = _network(inst.horizon)
     store = network.fork(domains)
     if worst_total > total_orders.lo.q:
         store.tighten(mv.total_orders, (min(worst_total, total_orders.hi.q), total_orders.hi.q))
@@ -694,7 +692,8 @@ class _Searcher:
     on the resolved cost of every completion) and visits the smaller first,
     the no-order child on ties.  Each child's bound reads its served state,
     its parent's extended by one cycle (:meth:`_served`), so no bound
-    re-serves the decided cycles.  A child is skipped once its bound is
+    re-serves the decided cycles, and the child is pushed with that state,
+    so no node is served twice.  A child is skipped once its bound is
     infinite (no completion can cover worst-case demand) or exceeds the
     least leaf cost.  ``nodes`` counts the bounds computed, the root's
     included.  The walk is arithmetic: a leaf is scored on its resolved
@@ -785,32 +784,26 @@ class _Searcher:
         return table
 
     def run(self) -> None:
-        # Pops (bound, flag, parent path, parent state) entries.  A child is
-        # skipped once its bound exceeds the least cost, and so is its sibling
-        # below it, whose bound is no smaller while the least cost only falls.
-        # A child is served from its parent's state when popped, so the stack
-        # holds only the states on the current path.
+        # Pops (bound, path, served state) entries.  A node is skipped once its
+        # bound exceeds the least cost, and so is its sibling below it, whose
+        # bound is no smaller while the least cost only falls.  Each child is
+        # served once, for its bound, and pushed with that state; the pair is
+        # pushed so that the smaller bound pops first, the no-order child on
+        # ties.
         self.nodes = 1
-        stack = []
-        if self._node_bound((), self._root) < math.inf:
-            self._branch(stack, (), self._root)
+        stack = [(self._node_bound((), self._root), (), self._root)]
         while stack:
-            bound, flag, path, served = stack.pop()
+            bound, path, served = stack.pop()
             if bound == math.inf or bound > self.least + TOLERANCE:
                 continue
-            path, served = (*path, flag), self._served(served, flag)
-            if len(path) < self.inst.horizon:
-                self._branch(stack, path, served)
-            else:
+            if len(path) == self.inst.horizon:
                 self._score(path, served)
-
-    def _branch(self, stack: list, path: tuple[bool, ...], served) -> None:
-        # Pushes both children of a visited partial schedule so that the
-        # smaller bound pops first, the no-order child on ties.
-        bounds = [self._node_bound((*path, f), self._served(served, f)) for f in (False, True)]
-        self.nodes += 2
-        for flag in (True, False) if bounds[0] <= bounds[1] else (False, True):
-            stack.append((bounds[flag], flag, path, served))
+                continue
+            children = [((*path, flag), self._served(served, flag)) for flag in (False, True)]
+            bounds = [self._node_bound(*child) for child in children]
+            self.nodes += 2
+            for flag in (True, False) if bounds[0] <= bounds[1] else (False, True):
+                stack.append((bounds[flag], *children[flag]))
 
     def _leaf_cost(self, served) -> float:
         # The resolved tc.lo.q of a covered leaf, from its served state:

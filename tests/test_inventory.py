@@ -90,6 +90,12 @@ def _three_branch_combine_bindings(op, a, b):
         f = s * (f1 / s1 + f2 / s2)
         return min(max(f, 0.0), 1.0), s
 
+    def keep(points, q, f, s):
+        # A subnormal slope gives a nan level or an overflowed scaled slope:
+        # that candidate is dropped.
+        if f == f and s < math.inf:
+            points.append(CdfPoint(q, f, s))
+
     bounds = {"add": add_bounds, "sub": sub_bounds, "mul": mul_bounds}[op]
     rz = checked(*bounds(a.lo.q, a.hi.q, b.lo.q, b.hi.q))
     if rz.lo == rz.hi:
@@ -107,9 +113,9 @@ def _three_branch_combine_bindings(op, a, b):
         if deg_a or lower_complete(b):
             lowers.append(CdfPoint(rz.hi, b.hi.f, b.hi.s))
         if a.lo.s > 0.0 and b.lo.s > 0.0:
-            uppers.append(CdfPoint(rz.lo, *levelwise(a.lo.f, a.lo.s, b.lo.f, b.lo.s)))
+            keep(uppers, rz.lo, *levelwise(a.lo.f, a.lo.s, b.lo.f, b.lo.s))
         if a.hi.s > 0.0 and b.hi.s > 0.0:
-            lowers.append(CdfPoint(rz.hi, *levelwise(a.hi.f, a.hi.s, b.hi.f, b.hi.s)))
+            keep(lowers, rz.hi, *levelwise(a.hi.f, a.hi.s, b.hi.f, b.hi.s))
     elif op == "sub":
         if deg_b or upper_complete(a):
             uppers.append(CdfPoint(rz.lo, a.lo.f, a.lo.s))
@@ -120,22 +126,18 @@ def _three_branch_combine_bindings(op, a, b):
         if deg_a or upper_complete(b):
             lowers.append(CdfPoint(rz.hi, 1.0 - b.lo.f, b.lo.s))
         if a.lo.s > 0.0 and b.hi.s > 0.0:
-            uppers.append(
-                CdfPoint(rz.lo, *levelwise(a.lo.f, a.lo.s, 1.0 - b.hi.f, b.hi.s))
-            )
+            keep(uppers, rz.lo, *levelwise(a.lo.f, a.lo.s, 1.0 - b.hi.f, b.hi.s))
         if a.hi.s > 0.0 and b.lo.s > 0.0:
-            lowers.append(
-                CdfPoint(rz.hi, *levelwise(a.hi.f, a.hi.s, 1.0 - b.lo.f, b.lo.s))
-            )
+            keep(lowers, rz.hi, *levelwise(a.hi.f, a.hi.s, 1.0 - b.lo.f, b.lo.s))
     elif a.lo.q >= 0.0 and b.lo.q >= 0.0:
         if b.lo.q > 0.0 and (deg_b or upper_complete(a)):
-            uppers.append(CdfPoint(rz.lo, a.lo.f, a.lo.s / b.lo.q))
+            keep(uppers, rz.lo, a.lo.f, a.lo.s / b.lo.q)
         if a.lo.q > 0.0 and (deg_a or upper_complete(b)):
-            uppers.append(CdfPoint(rz.lo, b.lo.f, b.lo.s / a.lo.q))
+            keep(uppers, rz.lo, b.lo.f, b.lo.s / a.lo.q)
         if b.hi.q > 0.0 and (deg_b or lower_complete(a)):
-            lowers.append(CdfPoint(rz.hi, a.hi.f, a.hi.s / b.hi.q))
+            keep(lowers, rz.hi, a.hi.f, a.hi.s / b.hi.q)
         if a.hi.q > 0.0 and (deg_a or lower_complete(b)):
-            lowers.append(CdfPoint(rz.hi, b.hi.f, b.hi.s / a.hi.q))
+            keep(lowers, rz.hi, b.hi.f, b.hi.s / a.hi.q)
     if not uppers:
         uppers = [CdfPoint(rz.lo, 1.0, 0.0)]
     if not lowers:
@@ -314,13 +316,26 @@ class TestCombineBindings:
         with pytest.raises(ValueError, match="overflowed"):
             combine_bindings(op, a, b)
 
-    def test_overflowed_scaled_slope_raises(self):
-        # A subnormal factor scales the other line's slope past the float range.
+    def test_overflowed_scaled_slope_is_dropped(self):
+        # A subnormal factor scales the other line's slope past the float
+        # range; that candidate is dropped and the binding stays sound.
         a = point_mass(5e-324)
         b = PboxInterval(CdfPoint(1.0, 0.2, 0.5), CdfPoint(3.0, 0.6, 0.5))
-        assert _outcome(_three_branch_combine_bindings, "mul", a, b) is ValueError
-        with pytest.raises(ValueError, match="scaled slopes"):
-            combine_bindings("mul", a, b)
+        out = combine_bindings("mul", a, b)
+        assert check_dominance(out)
+        assert out == convex_interval(5e-324, 1.5e-323)
+        assert _bits(out) == _bits(_three_branch_combine_bindings("mul", a, b))
+
+    def test_nan_levelwise_level_is_dropped(self):
+        # A slope of 5e-324 makes the level-wise slope 0 and its level
+        # 0 * inf; that candidate is dropped and b's shifted lines bind.
+        a = PboxInterval(CdfPoint(0.0, 0.7, 5e-324), CdfPoint(2.0, 0.6, 0.5))
+        b = PboxInterval(CdfPoint(1.0, 0.2, 0.5), CdfPoint(3.0, 0.6, 0.5))
+        assert check_dominance(a) and check_dominance(b)
+        out = combine_bindings("add", a, b)
+        assert check_dominance(out)
+        assert out.lo == CdfPoint(1.0, 0.2, 0.5)
+        assert _bits(out) == _bits(_three_branch_combine_bindings("add", a, b))
 
     def test_conflicting_lines_fall_back_to_convex(self):
         # Both operands keep dominance, but their level-wise lines are
@@ -477,9 +492,9 @@ class TestBuildModel:
         assert (len(long.domains), len(long.constraints)) == (128, 53)
 
     def test_growing_one_network_leaves_the_next_build_unchanged(self):
-        # Every network of a run is forked from one topology, so a variable
-        # or constraint added to a built store, or to its clone, must not
-        # reach the next build.
+        # Every network of a horizon is forked from the one topology that the
+        # process keeps for it, so a variable or constraint added to a built
+        # store, or to its clone, must not reach the next build.
         inputs = model_inputs(default_instance(5, 3))
         schedule = [True, False, True, False, True]
         first, mv = build_model(inputs, schedule)
@@ -501,6 +516,19 @@ class TestBuildModel:
         assert grown.propagate() == fresh.propagate() == CONSISTENT
         assert grown.domains == fresh.domains
         assert grown.stats == fresh.stats
+
+    def test_one_topology_per_horizon(self):
+        # Networks of one horizon share the process's one topology, whatever
+        # the instance; another horizon has its own, and the memo is bounded.
+        schedule = [True, False, True, False, True]
+        first, _ = build_model(model_inputs(default_instance(5, 3)), schedule)
+        second, _ = build_model(model_inputs(default_instance(5, 4)), schedule)
+        assert first.constraints is second.constraints
+        other, _ = build_model(model_inputs(default_instance(6, 3)), [True] * 6)
+        assert other.constraints is not first.constraints
+        for horizon in range(30, 50):
+            build_model(model_inputs(default_instance(horizon, 0)), [True] * horizon)
+        assert inventory._network.cache_info().currsize <= 16
 
     def test_early_failures_build_failed_stores(self):
         # The first cycle's stock cannot reach 0: it has demand and no order.
@@ -868,24 +896,34 @@ class TestSearch:
     @pytest.mark.parametrize("seed", [3, 7])
     def test_nodes_count_the_bounds_computed(self, monkeypatch, seed):
         # The search walks the tree once: every node's bound is computed
-        # once and counted, and every leaf is re-solved at most once.
+        # once and counted, every node but the root is served once, and
+        # every leaf is re-solved at most once.
         bounds, resolved = [], []
+        served_calls = 0
         real_bound = inventory._Searcher._node_bound
+        real_served = inventory._Searcher._served
         real_resolve = inventory._resolve
 
         def counting_bound(self, path, served):
             bounds.append(tuple(path))
             return real_bound(self, path, served)
 
+        def counting_served(self, served, flag):
+            nonlocal served_calls
+            served_calls += 1
+            return real_served(self, served, flag)
+
         def counting_resolve(inputs, schedule):
             resolved.append(tuple(schedule))
             return real_resolve(inputs, schedule)
 
         monkeypatch.setattr(inventory._Searcher, "_node_bound", counting_bound)
+        monkeypatch.setattr(inventory._Searcher, "_served", counting_served)
         monkeypatch.setattr(inventory, "_resolve", counting_resolve)
         result = search(default_instance(24, seed))
         assert result.status == "optimal"
         assert result.nodes == len(bounds) == len(set(bounds))
+        assert served_calls == result.nodes - 1
         assert len(resolved) == len(set(resolved))
 
     @pytest.mark.parametrize("mode", MODES)
