@@ -25,6 +25,11 @@ EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
 
 
+def _input_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _write_json(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2)
     if out is None or out == "-":
@@ -37,11 +42,9 @@ def cmd_ingest(args) -> int:
     try:
         obs = load_observations_csv(args.input)
     except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _input_error(f"cannot read {args.input}: {exc}")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _input_error(exc)
     domain = envelope(empirical_cdf(obs))
     _write_json(domain.to_dict(), args.out)
     print(
@@ -58,17 +61,14 @@ def cmd_solve(args) -> int:
         with open(args.input, encoding="utf-8") as fh:
             model = json.load(fh)
     except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _input_error(f"cannot read {args.input}: {exc}")
     except json.JSONDecodeError as exc:
-        print(f"error: malformed model JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _input_error(f"malformed model JSON: {exc}")
     try:
         store, order = parse_model(model)
         store.propagate()
     except (ValueError, DivisorStraddlesZero) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _input_error(exc)
     _write_json(solution_dict(store, order), args.out)
     return EXIT_INCONSISTENT if store.status == FAILED else EXIT_OK
 
@@ -121,16 +121,14 @@ def cmd_bench(args) -> int:
     try:
         horizons = _parse_horizons(args.horizons)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _input_error(exc)
     instance = None
     seed = args.seed
     if args.input:
         try:
             instance = InventoryInstance.from_file(args.input)
         except (OSError, ValueError) as exc:
-            print(f"error: cannot load instance {args.input}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _input_error(f"cannot load instance {args.input}: {exc}")
         # A given instance is searched as it is: no horizon or seed of ours.
         horizons, seed = [instance.horizon], None
     if args.verbose:
@@ -138,14 +136,17 @@ def cmd_bench(args) -> int:
             f"benchmark model={args.model} seed={seed} horizons={horizons}",
             file=sys.stderr,
         )
-    report = run_benchmark(
-        horizons,
-        seed=seed,
-        model=args.model,
-        x_min=args.x_min,
-        x_max=args.x_max if args.x_max is not None else DEFAULT_X_MAX,
-        instance=instance,
-    )
+    try:
+        report = run_benchmark(
+            horizons,
+            seed=seed,
+            model=args.model,
+            x_min=args.x_min,
+            x_max=args.x_max if args.x_max is not None else DEFAULT_X_MAX,
+            instance=instance,
+        )
+    except ValueError as exc:
+        return _input_error(exc)
     _write_json(report, args.out)
     if args.cycles_csv:
         _emit_cycles_csv(report, args.cycles_csv)

@@ -4,8 +4,8 @@ A horizon of demand cycles is modelled as a constraint network: per-cycle
 order and stock variables tied by flow balance, cost terms accumulated into
 a total cost, and non-negativity as quantile lower bounds.  Search decides
 the boolean replenishment schedule by depth-first branch and bound on a
-lot-sizing bound, in arithmetic alone; the near-ties of the least cost get
-networks, propagated with orders pinned to the cheapest covering sizes.
+lot-sizing bound, in arithmetic alone; the near-ties of the least cost are
+resolved on bindings, with orders pinned to the cheapest covering sizes.
 """
 
 from __future__ import annotations
@@ -73,16 +73,12 @@ class InventoryInstance:
             raise ValueError(
                 f"expected {self.horizon} demand entries, got {len(self.demands)}"
             )
-        if self.initial_stock < 0.0:
-            raise ValueError("initial stock must be >= 0")
-        if not 0.0 <= self.x_min <= self.x_max:
-            raise ValueError("order size bounds need 0 <= x_min <= x_max")
-        for label, spec in (
-            ("ordering_cost", self.ordering_cost),
-            ("holding_cost", self.holding_cost),
-            ("unit_cost", self.unit_cost),
-        ):
-            if _domain_of(spec, "convex").lo.q < 0.0:
+        if not 0.0 <= self.initial_stock < math.inf:
+            raise ValueError(f"initial stock must be finite and >= 0, got {self.initial_stock!r}")
+        if not 0.0 <= self.x_min <= self.x_max < math.inf:
+            raise ValueError("order size bounds need finite 0 <= x_min <= x_max")
+        for label in ("ordering_cost", "holding_cost", "unit_cost"):
+            if _domain_of(getattr(self, label), "convex").lo.q < 0.0:
                 raise ValueError(f"{label} must be non-negative")
 
     def to_dict(self) -> dict:
@@ -496,7 +492,8 @@ class CycleDomains:
 
 @dataclass(frozen=True)
 class ScheduleReport:
-    """A solved schedule with interval-valued costs and per-cycle domains."""
+    """A solved schedule with interval-valued costs and per-cycle domains;
+    ``stats`` count the fixpoint of the relaxed network behind ``tc_hull``."""
 
     schedule: tuple[bool, ...]
     replenishments: int
@@ -602,14 +599,15 @@ def robust_order_sizes(inputs: ModelInputs, schedule) -> list[float] | None:
 
 
 def _resolve(inputs: ModelInputs, schedule) -> dict | None:
-    """The report fields of a decided schedule's propagated network, with its
-    orders pinned to the cheapest covering sizes; None when the caps cannot
-    cover worst-case demand or the network is inconsistent."""
+    """The report fields of a decided schedule with its orders pinned to the
+    cheapest covering sizes, read off its network's bindings (its floors cut
+    nothing once the sizes cover, so propagation would change no domain);
+    None when the caps cannot cover worst-case demand or the bindings fail."""
     sizes = robust_order_sizes(inputs, schedule)
     if sizes is None:
         return None
     store, mv = build_model(inputs, schedule, order_sizes=sizes)
-    if store.propagate() == FAILED:
+    if store.status == FAILED:
         return None
     d = store.domains
     return {
@@ -618,14 +616,13 @@ def _resolve(inputs: ModelInputs, schedule) -> dict | None:
         "cycles": tuple(
             CycleDomains(d[x], d[i], d[w]) for x, i, w in zip(mv.order, mv.stock, mv.demand)
         ),
-        "stats": {**store.stats, "labeling": "robust"},
     }
 
 
 def _report(
     inputs: ModelInputs, schedule, resolved: dict, started: float
 ) -> ScheduleReport | None:
-    # Completes a resolved schedule's report with the relaxed network's cost.
+    # Completes a resolved schedule's report with its relaxed network's fixpoint.
     hull, hull_mv = build_model(inputs, schedule)
     if hull.propagate() == FAILED:
         return None
@@ -634,6 +631,7 @@ def _report(
         replenishments=sum(schedule),
         tc_hull=hull.domains[hull_mv.tc],
         wall_time_s=time.perf_counter() - started,
+        stats=hull.stats,
         **resolved,
     )
 
@@ -641,11 +639,11 @@ def _report(
 def evaluate_schedule(
     inst: InventoryInstance, schedule, mode: str = "pbox"
 ) -> ScheduleReport | None:
-    """Propagate one fully decided schedule; None when it is infeasible.
+    """Report one fully decided schedule; None when it is infeasible.
 
     A schedule is feasible when the order caps can cover worst-case demand in
-    every cycle and the network with the orders pinned to the cheapest
-    covering sizes is consistent.  The reported costs describe those resolved
+    every cycle and its bindings with the orders pinned to the cheapest
+    covering sizes hold.  The reported costs describe those resolved
     decisions over the full demand uncertainty; ``tc_hull`` is the total cost
     of the relaxed network, whose orders range over their caps.
     """
@@ -667,7 +665,7 @@ class SearchResult:
     best: ScheduleReport | None
     nodes: int
     clones: int  # Always 0: the search clones no store.
-    # Store counters of the search: the sum over the near-ties it re-solved.
+    # The winner's stats, those of the search's one fixpoint; else zeros.
     stats: dict
     wall_time_s: float
 
@@ -830,26 +828,24 @@ class _Searcher:
             self.ties.append((cost, schedule))
 
     def result(self, started: float) -> SearchResult:
-        """The search's counters and the winner's report: the near-ties are
-        re-solved with robust order sizes, the least ``(tc.lo.q,
-        replenishments, schedule)`` wins, and its relaxed network's cost
-        completes its report.  That network holds wherever the pinned one
-        does: the covering sizes are one of its scenarios."""
-        stats = dict.fromkeys(DomainStore().stats, 0)
+        """The winner's report, whose counters are the search's: the near-ties
+        are resolved with robust order sizes, the least ``(tc.lo.q,
+        replenishments, schedule)`` wins, and its relaxed network, the one
+        that propagates, completes its report.  That network holds wherever
+        the pinned one does: the covering sizes are one of its scenarios."""
         solved = {}
         for _, schedule in self.ties:
             fields = _resolve(self.inputs, schedule)
             if fields is not None:
                 solved[schedule] = fields
-                for key in stats:
-                    stats[key] += fields["stats"][key]
         winner = min(solved, key=lambda s: (solved[s]["tc"].lo.q, sum(s), s), default=None)
+        best = None if winner is None else _report(self.inputs, winner, solved[winner], started)
         return SearchResult(
             status="optimal" if solved else "infeasible",
-            best=None if winner is None else _report(self.inputs, winner, solved[winner], started),
+            best=best,
             nodes=self.nodes,
             clones=0,
-            stats=stats,
+            stats=dict.fromkeys(DomainStore().stats, 0) if best is None else dict(best.stats),
             wall_time_s=time.perf_counter() - started,
         )
 
@@ -987,9 +983,9 @@ def run_benchmark(
     """Timed search runs over seeded instances, one row per horizon.
 
     Rows record wall time, an allocation counter (domain writes stand in
-    for heap metrics) and the search's store counters (``stats``, summed
-    over the near-ties it re-solved; ``best.stats`` count the winner's
-    pinned re-solve alone).  Under the p-box model each row also carries the
+    for heap metrics) and the search's store counters (``stats``, those of
+    its one fixpoint, the winner's relaxed network, so equal to
+    ``best.stats``).  Under the p-box model each row also carries the
     convex evaluation of the winning schedule and containment checks of the
     total-cost intervals.  A given ``instance`` replaces the seeded ones: it
     runs once, and the report's horizons and order bounds are its own, with

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -297,6 +298,16 @@ class TestBench:
     def test_invalid_horizon_exits_two(self, tmp_path):
         assert main(["bench", "--horizons", "0"]) == 2
         assert main(["bench", "--horizons", "abc"]) == 2
+        assert main(["bench", "--horizons", "3", "--x-min", "50", "--x-max", "10"]) == 2
+        assert main(["bench", "--horizons", "3", "--x-max", "inf"]) == 2
+
+    def test_overflowing_instance_exits_two(self, tmp_path, capsys):
+        instance = tmp_path / "inst.json"
+        instance.write_text(
+            json.dumps({"horizon": 2, "demands": [5, 6], "x_max": 1e308, "initial_stock": 1e308})
+        )
+        assert main(["bench", "--input", str(instance)]) == 2
+        assert capsys.readouterr().err.startswith("error: interval arithmetic overflowed")
 
     def test_cycles_csv_emitted(self, tmp_path):
         out = tmp_path / "report.json"
@@ -369,6 +380,22 @@ class TestBench:
                 {"horizon": 2, "demands": [5, True]},
                 "demands[1]: expected a number of type float, got True",
             ),
+            (
+                {"horizon": 2, "demands": [5, 6], "initial_stock": math.nan},
+                "initial stock must be finite and >= 0, got nan",
+            ),
+            (
+                {"horizon": 2, "demands": [5, 6], "initial_stock": math.inf},
+                "initial stock must be finite and >= 0, got inf",
+            ),
+            (
+                {"horizon": 2, "demands": [5, 6], "x_min": math.nan},
+                "order size bounds need finite 0 <= x_min <= x_max",
+            ),
+            (
+                {"horizon": 2, "demands": [5, 6], "x_max": math.inf},
+                "order size bounds need finite 0 <= x_min <= x_max",
+            ),
         ],
         ids=[
             "null-x-min",
@@ -378,6 +405,10 @@ class TestBench:
             "string-horizon",
             "fractional-seed",
             "bool-demand",
+            "nan-initial-stock",
+            "infinite-initial-stock",
+            "nan-x-min",
+            "infinite-x-max",
         ],
     )
     def test_malformed_instance_file_exits_two(self, tmp_path, capsys, obj, message):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pboxcdf import inventory
 from pboxcdf.arith import mul_bounds
-from pboxcdf.engine import CONSISTENT, FAILED, Constraint
+from pboxcdf.engine import CONSISTENT, FAILED, Constraint, DomainStore
 from pboxcdf.inventory import (
     MODES,
     InventoryInstance,
@@ -648,7 +648,10 @@ def _prefix_bounds(inst, mode="pbox"):
     none is covered.  Also checks that a leaf is covered (its served state
     is not None) exactly when it resolves, and that a covered leaf's scalar
     cost lies within half the search's margin of its resolved ``tc.lo.q``:
-    the near-ties the search re-solves then hold the winner."""
+    the near-ties the search resolves then hold the winner.  And that a
+    covered leaf's pinned network propagates to a consistent fixpoint whose
+    ``tc``, ``holding`` and per-cycle domains are ``_resolve``'s bindings,
+    bit for bit."""
     inputs = model_inputs(inst, mode)
     searcher = inventory._Searcher(inputs)
     served = served_states(searcher, inst.horizon)
@@ -661,6 +664,14 @@ def _prefix_bounds(inst, mode="pbox"):
         if fields is not None:
             gap = abs(searcher._leaf_cost(served[flags]) - best[flags])
             assert gap <= searcher._margin / 2, (inst, flags, gap, searcher._margin)
+            store, mv = build_model(inputs, flags, order_sizes=robust_order_sizes(inputs, flags))
+            assert store.propagate() == CONSISTENT, (inst, flags)
+            d = store.domains
+            fixpoint = [d[mv.tc], d[mv.holding]]
+            fixpoint += [d[v] for cycle in zip(mv.order, mv.stock, mv.demand) for v in cycle]
+            bindings = [fields["tc"], fields["holding"]]
+            bindings += [dom for c in fields["cycles"] for dom in (c.order, c.stock, c.demand)]
+            assert [_bits(x) for x in fixpoint] == [_bits(x) for x in bindings], (inst, flags)
             key = (best[flags], sum(flags), flags)
             winner = key if winner is None else min(winner, key)
     for depth in range(inst.horizon - 1, -1, -1):
@@ -715,7 +726,8 @@ def bound_sweep(seed, instances, max_horizon):
     undecided prefixes that have one.  Also checks that the search returns
     the enumerated winner, or ``infeasible`` when no leaf is covered, and
     (by ``_prefix_bounds``) that every covered leaf's scalar cost lies
-    within half the search's margin of its resolved cost."""
+    within half the search's margin of its resolved cost, and that its
+    resolved domains equal its propagated pinned network's."""
     rng = random.Random(seed)
     tight = undecided = 0
     for k in range(instances):
@@ -797,6 +809,7 @@ class TestSearch:
         result = search(inst)
         assert result.status == "infeasible"
         assert result.best is None
+        assert set(result.stats.values()) == {0}
 
     def test_reports_carry_no_frontier(self):
         # The visited leaves depend on what the bound pruned, so neither the
@@ -929,7 +942,7 @@ class TestSearch:
     @pytest.mark.parametrize("mode", MODES)
     def test_near_ties_pick_the_least_resolved_key(self, monkeypatch, mode):
         # Seven covered leaves tie exactly at the least cost.  The search
-        # re-solves those seven alone, once each, and its winner is the least
+        # resolves those seven alone, once each, and its winner is the least
         # (tc.lo.q, replenishments, schedule) over every leaf resolved.
         inst = tied_instance()
         _, winner = _prefix_bounds(inst, mode)
@@ -1058,26 +1071,6 @@ class TestInstanceIO:
             assert qs[4] == pytest.approx(mean + 2 * spread)
 
 
-def _spied_resolves(monkeypatch):
-    """The store counters of every leaf re-solved from now on, as a list
-    that fills as ``inventory._resolve`` runs."""
-    counters = []
-    real_resolve = inventory._resolve
-
-    def spy(inputs, schedule):
-        fields = real_resolve(inputs, schedule)
-        if fields is not None:
-            counters.append(fields["stats"])
-        return fields
-
-    monkeypatch.setattr(inventory, "_resolve", spy)
-    return counters
-
-
-def _summed(counters, keys):
-    return {key: sum(c[key] for c in counters) for key in keys}
-
-
 class TestBenchmark:
     def test_same_seed_same_report(self):
         first = run_benchmark([5], seed=7, model="pbox")
@@ -1095,27 +1088,35 @@ class TestBenchmark:
         assert 0.0 < f_low <= f_up < 1.0
         assert cont["cdf_tighter_than_convex"]
 
-    def test_domain_writes_count_the_search(self, monkeypatch):
-        # The search propagates only the near-ties it re-solves, so its
-        # counters are theirs summed.  The tied instance re-solves seven.
-        counters = _spied_resolves(monkeypatch)
+    def test_domain_writes_count_the_search(self):
+        # The search's one fixpoint is the winner's relaxed network (28
+        # prunes here), so its counters are the winner's report's.
         result = search(tied_instance())
         assert result.nodes > 1
-        assert len(counters) > 1
-        assert result.stats == _summed(counters, result.stats)
-        assert result.to_dict()["domain_writes"] == result.stats["prunes"]
+        assert result.stats == result.best.stats
+        assert result.to_dict()["domain_writes"] == result.stats["prunes"] > 0
 
-    def test_report_counts_skipped_add_passes(self, monkeypatch):
-        # A convex row runs no containment evaluation, so every re-solve is
-        # the search's.
-        counters = _spied_resolves(monkeypatch)
+    def test_report_counts_skipped_add_passes(self):
+        # A convex row runs no containment evaluation, so its counters are
+        # the search's alone.
         row = run_benchmark([], model="convex", instance=tied_instance())["rows"][0]
-        assert len(counters) > 1
         assert row["best"]["stats"]["skipped_add_passes"] > 0
-        # The row's stats count every re-solve; the winner's its own alone.
-        assert row["stats"] == _summed(counters, row["stats"])
-        assert row["stats"]["prunes"] == row["alloc_counters"]["domain_writes"]
-        assert row["stats"]["skipped_add_passes"] > row["best"]["stats"]["skipped_add_passes"]
+        assert row["stats"] == row["best"]["stats"]
+        assert row["stats"]["prunes"] == row["alloc_counters"]["domain_writes"] > 0
+
+    def test_a_search_propagates_once(self, monkeypatch):
+        # The tied instance's seven near-ties are resolved on their bindings;
+        # only the winner's relaxed network propagates.
+        propagated = []
+        real_propagate = DomainStore.propagate
+
+        def counting_propagate(store):
+            propagated.append(store)
+            return real_propagate(store)
+
+        monkeypatch.setattr(DomainStore, "propagate", counting_propagate)
+        assert search(tied_instance()).status == "optimal"
+        assert len(propagated) == 1
 
     def test_convex_model_rows_have_no_containment(self):
         report = run_benchmark([5], seed=7, model="convex")
