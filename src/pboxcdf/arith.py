@@ -15,13 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pbox import (
-    DivisorStraddlesZero,
-    PboxInterval,
-    anchor,
-    intersect_quantiles,
-    repair_dominance,
-)
+from .pbox import DivisorStraddlesZero, PboxInterval, intersect_quantiles, reanchor
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,6 +56,4 @@ def slide(interval: PboxInterval, target: QuantileInterval) -> PboxInterval:
     lo_q, hi_q = intersect_quantiles(interval.lo.q, interval.hi.q, target.lo, target.hi)
     if lo_q == interval.lo.q and hi_q == interval.hi.q:
         return interval
-    return repair_dominance(
-        PboxInterval(anchor(interval.lo, lo_q), anchor(interval.hi, hi_q))
-    )
+    return reanchor(interval, lo_q, hi_q)

@@ -32,6 +32,7 @@ from .pbox import (
     json_number,
     meet,
     point_mass,
+    reanchor,
     repair_dominance,
     tighter_lower,
     tighter_upper,
@@ -338,10 +339,11 @@ class DomainStore:
             waiting.clear()
 
     def _project(self, vid: int) -> PboxInterval:
-        # Re-anchors vid's cdf points onto its bounds and repairs dominance.
-        d = self.domains[vid]
+        # Re-anchors vid's cdf points onto its bounds and repairs dominance
+        # (pbox.reanchor): flat lines whose levels do not conflict, as in
+        # every domain of the convex model, only move their quantiles.
         lo, hi = self._lo[vid], self._hi[vid]
-        d = self.domains[vid] = repair_dominance(PboxInterval(anchor(d.lo, lo), anchor(d.hi, hi)))
+        d = self.domains[vid] = reanchor(self.domains[vid], lo, hi)
         if d.lo.q != lo or d.hi.q != hi:
             self._lo[vid] = d.lo.q
             self._hi[vid] = d.hi.q

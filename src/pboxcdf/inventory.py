@@ -28,6 +28,7 @@ from .pbox import (
     convex_interval,
     empirical_cdf,
     envelope,
+    is_vacuous,
     json_number,
     load_observations_csv,
     point_mass,
@@ -77,8 +78,14 @@ class InventoryInstance:
             raise ValueError(f"initial stock must be finite and >= 0, got {self.initial_stock!r}")
         if not 0.0 <= self.x_min <= self.x_max < math.inf:
             raise ValueError("order size bounds need finite 0 <= x_min <= x_max")
+        for i, demand in enumerate(self.demands):
+            if isinstance(demand, (int, float)) and not math.isfinite(demand):
+                raise ValueError(f"demands[{i}] must be finite, got {demand!r}")
         for label in ("ordering_cost", "holding_cost", "unit_cost"):
-            if _domain_of(getattr(self, label), "convex").lo.q < 0.0:
+            spec = getattr(self, label)
+            if isinstance(spec, (int, float)) and not math.isfinite(spec):
+                raise ValueError(f"{label} must be finite, got {spec!r}")
+            if _domain_of(spec, "convex").lo.q < 0.0:
                 raise ValueError(f"{label} must be non-negative")
 
     def to_dict(self) -> dict:
@@ -258,21 +265,40 @@ def combine_bindings(op: str, a: PboxInterval, b: PboxInterval) -> PboxInterval:
     it stays informative through long chains of sums where any single
     shifted line clips to vacuity.  The tightest candidate at the midpoint
     wins, compared on floats; with none the bound degrades to the convex one.
+
+    Two vacuous operands (:func:`pbox.is_vacuous`) offer no candidate that
+    beats the convex bound, so they bind as plain intervals.  Otherwise one
+    pass over each side's candidates, at most three, keeps the tightest, and
+    the two cdf points are built once from the chosen floats.
     """
     if op not in ("add", "sub", "mul"):
         raise ValueError(f"op must be 'add', 'sub' or 'mul', got {op!r}")
-    alq, alf, als, ahq, ahf, ahs = a.lo.q, a.lo.f, a.lo.s, a.hi.q, a.hi.f, a.hi.s
-    blq, blf, bls, bhq, bhf, bhs = b.lo.q, b.lo.f, b.lo.s, b.hi.q, b.hi.f, b.hi.s
+    alq, ahq, blq, bhq = a.lo.q, a.hi.q, b.lo.q, b.hi.q
     if op == "sub":
-        # -b mirrors the quantiles and swaps the ends; the level f becomes 1 - f.
-        blq, blf, bls, bhq, bhf, bhs = -bhq, 1.0 - bhf, bhs, -blq, 1.0 - blf, bls
+        # -b mirrors the quantiles and swaps the ends.
+        blq, bhq = -bhq, -blq
     add = op != "mul"
     lo, hi = (alq + blq, ahq + bhq) if add else mul_bounds(alq, ahq, blq, bhq)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"interval arithmetic overflowed to [{lo!r}, {hi!r}]")
     if lo == hi:
         return point_mass(lo)
-    uppers, lowers = [], []
+    if is_vacuous(a) and is_vacuous(b):
+        return convex_interval(lo, hi)
+    alf, als, ahf, ahs = a.lo.f, a.lo.s, a.hi.f, a.hi.s
+    blf, bls, bhf, bhs = b.lo.f, b.lo.s, b.hi.f, b.hi.s
+    if op == "sub":
+        # The level f of -b becomes 1 - f.
+        blf, bls, bhf, bhs = 1.0 - bhf, bhs, 1.0 - blf, bls
+    # Each side keeps the least (upper) or greatest (lower) key: the clipped
+    # value at the midpoint, then, as ties are frequent once lines clip
+    # there, the anchor level, then the slope; the first of equals stays,
+    # as with min and max over the keys in candidate order.  A subnormal
+    # slope gives a level-wise line a nan level, or a scaled copy an
+    # overflowed slope; dropping that line loses only a vacuous bound.
+    mid = 0.5 * (lo + hi)
+    to_mid, from_mid = mid - lo, hi - mid
+    up = low = None
     if add or (alq >= 0.0 and blq >= 0.0):
         for lf, ls, hf, hs, width, olq, ohq in (
             (alf, als, ahf, ahs, ahq - alq, blq, bhq),
@@ -280,25 +306,36 @@ def combine_bindings(op: str, a: PboxInterval, b: PboxInterval) -> PboxInterval:
         ):
             lo_scale, hi_scale = (1.0, 1.0) if add else (olq, ohq)
             if lo_scale > 0.0 and (olq == ohq or lf + ls * width >= 1.0 - TOLERANCE):
-                uppers.append((lf, ls / lo_scale))
+                s = ls / lo_scale
+                if s < math.inf:
+                    key = (min(lf + s * to_mid, 1.0), lf, s)
+                    if up is None or key < up:
+                        up = key
             if hi_scale > 0.0 and (olq == ohq or hf - hs * width <= TOLERANCE):
-                lowers.append((hf, hs / hi_scale))
+                s = hs / hi_scale
+                if s < math.inf:
+                    key = (max(hf - s * from_mid, 0.0), hf, -s)
+                    if low is None or key > low:
+                        low = key
     if add and als > 0.0 and bls > 0.0:
-        uppers.append(_levelwise(alf, als, blf, bls))
+        f, s = _levelwise(alf, als, blf, bls)
+        if f == f:
+            key = (min(f + s * to_mid, 1.0), f, s)
+            if up is None or key < up:
+                up = key
     if add and ahs > 0.0 and bhs > 0.0:
-        lowers.append(_levelwise(ahf, ahs, bhf, bhs))
-    # A subnormal slope gives a level-wise line a nan level, or a scaled copy
-    # an overflowed slope; dropping that line loses only a vacuous bound.
-    uppers = [(f, s) for f, s in uppers if f == f and s < math.inf] or [(1.0, 0.0)]
-    lowers = [(f, s) for f, s in lowers if f == f and s < math.inf] or [(0.0, 0.0)]
-    # Ties at the midpoint are frequent once lines clip there, so fall back to
-    # the anchor level, then the slope; min and max keep the first of equals.
-    mid = 0.5 * (lo + hi)
-    _, up_f, up_s = min([(min(f + s * (mid - lo), 1.0), f, s) for f, s in uppers])
-    _, low_f, low_s = max([(max(f - s * (hi - mid), 0.0), f, -s) for f, s in lowers])
+        f, s = _levelwise(ahf, ahs, bhf, bhs)
+        if f == f:
+            key = (max(f - s * from_mid, 0.0), f, -s)
+            if low is None or key > low:
+                low = key
+    # A side without candidates keeps the convex bound's line.
+    _, up_f, up_s = up or (1.0, 1.0, 0.0)
+    _, low_f, neg_low_s = low or (0.0, 0.0, -0.0)
+    low_s = -neg_low_s
+    points = PboxInterval(CdfPoint(lo, up_f, up_s), CdfPoint(hi, low_f, low_s))
     try:
-        up, low = CdfPoint(lo, up_f, up_s), CdfPoint(hi, low_f, -low_s)
-        return repair_dominance(PboxInterval(up, low))
+        return repair_dominance(points)
     except Inconsistent:
         return convex_interval(lo, hi)
 
@@ -386,8 +423,17 @@ def _network(horizon: int) -> tuple[DomainStore, ModelVars]:
 
 
 def _sum_binding(bindings: list[PboxInterval]) -> PboxInterval:
-    # The binding of a sum: the left fold of its terms' bindings.
+    # The binding of a sum: the left fold of its terms' bindings.  Vacuous
+    # terms fold as float bounds into one domain; an overflow is left to the
+    # stepwise fold, which raises it at its step.
     total = bindings[0]
+    if len(bindings) > 1 and all(map(is_vacuous, bindings)):
+        lo, hi = total.lo.q, total.hi.q
+        for binding in bindings[1:]:
+            lo += binding.lo.q
+            hi += binding.hi.q
+        if math.isfinite(lo) and math.isfinite(hi):
+            return point_mass(lo) if lo == hi else convex_interval(lo, hi)
     for binding in bindings[1:]:
         total = combine_bindings("add", total, binding)
     return total

@@ -125,6 +125,44 @@ def anchor(p: CdfPoint, q: float) -> CdfPoint:
     return CdfPoint(q, min(max(f, 0.0), 1.0), p.s)
 
 
+def is_vacuous(interval: PboxInterval) -> bool:
+    """True iff the cdf lines say nothing beyond the quantile range: both are
+    flat, the upper one at level 1 and the lower one at level 0, or at 1 on
+    a point as :func:`point_mass` builds it.  Binding such operands is
+    interval arithmetic alone (see ``inventory.combine_bindings``)."""
+    lo, hi = interval.lo, interval.hi
+    return (
+        lo.s == 0.0
+        and hi.s == 0.0
+        and lo.f == 1.0
+        and (hi.f == 0.0 or hi.f == 1.0 and lo.q == hi.q)
+    )
+
+
+def reanchor(interval: PboxInterval, lo_q: float, hi_q: float) -> PboxInterval:
+    """Slide both cdf points of ``interval`` along their own lines onto
+    [lo_q, hi_q], a subrange of its quantile range, and repair dominance.
+
+    A flat line keeps its level wherever it is anchored, so an interval with
+    two flat lines whose levels do not conflict only moves its quantiles: the
+    points :func:`anchor` would build, with nothing to repair.  A range too
+    wide for a float width takes the general path, where a move may
+    overflow.
+    """
+    lo, hi = interval.lo, interval.hi
+    if (
+        lo.s == 0.0
+        and hi.s == 0.0
+        and not lo.f < hi.f - TOLERANCE
+        and hi.q - lo.q < math.inf
+    ):
+        return PboxInterval(
+            lo if lo_q == lo.q else CdfPoint(lo_q, lo.f, lo.s),
+            hi if hi_q == hi.q else CdfPoint(hi_q, hi.f, hi.s),
+        )
+    return repair_dominance(PboxInterval(anchor(lo, lo_q), anchor(hi, hi_q)))
+
+
 def tighter_upper(a: CdfPoint, b: CdfPoint, x: float) -> CdfPoint:
     """The upper-bound line with the smaller clipped value at x; ties pick the
     smaller slope."""

@@ -396,6 +396,20 @@ class TestBench:
                 {"horizon": 2, "demands": [5, 6], "x_max": math.inf},
                 "order size bounds need finite 0 <= x_min <= x_max",
             ),
+            ({"horizon": 2, "demands": [math.nan, 6]}, "demands[0] must be finite, got nan"),
+            ({"horizon": 2, "demands": [5, math.inf]}, "demands[1] must be finite, got inf"),
+            (
+                {"horizon": 2, "demands": [5, 6], "ordering_cost": math.nan},
+                "ordering_cost must be finite, got nan",
+            ),
+            (
+                {"horizon": 2, "demands": [5, 6], "holding_cost": math.inf},
+                "holding_cost must be finite, got inf",
+            ),
+            (
+                {"horizon": 2, "demands": [5, 6], "unit_cost": -math.inf},
+                "unit_cost must be finite, got -inf",
+            ),
         ],
         ids=[
             "null-x-min",
@@ -409,6 +423,11 @@ class TestBench:
             "infinite-initial-stock",
             "nan-x-min",
             "infinite-x-max",
+            "nan-demand",
+            "infinite-demand",
+            "nan-ordering-cost",
+            "infinite-holding-cost",
+            "negative-infinite-unit-cost",
         ],
     )
     def test_malformed_instance_file_exits_two(self, tmp_path, capsys, obj, message):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pboxcdf import engine
-from pboxcdf.arith import div_bounds, mul_bounds
+from pboxcdf.arith import QuantileInterval, div_bounds, mul_bounds, slide
 from pboxcdf.engine import (
     CONSISTENT,
     FAILED,
@@ -17,11 +17,15 @@ from pboxcdf.pbox import (
     TOLERANCE,
     CdfPoint,
     DivisorStraddlesZero,
+    Inconsistent,
     PboxInterval,
+    anchor,
     check_dominance,
     convex_interval,
+    intersect_quantiles,
     point_mass,
     project,
+    repair_dominance,
 )
 
 from conftest import add_bounds, random_domain, random_envelope, sub_bounds
@@ -580,6 +584,60 @@ class TestLinearSum:
         assert [store.domains[v].lo.q for v in links] == [3.0, 4.5, 6.0, 7.5]
         assert runs == [1, 1]
         assert store.domains[total] == convex_interval(22.0, 24.0)
+
+
+def _flat_domain(rng):
+    """Two flat cdf lines, with levels at, near or away from the ends of
+    [0, 1], so that some conflict; some span a range too wide for a float
+    width."""
+    if rng.random() < 0.15:
+        lo, hi = -rng.uniform(1e307, 1.7e308), rng.uniform(1e307, 1.7e308)
+    else:
+        lo = rng.uniform(-100.0, 100.0)
+        hi = lo + rng.choice((0.0, 1e-7, rng.uniform(0.0, 100.0)))
+    levels = (0.0, 1.0, TOLERANCE / 2, 1.0 - TOLERANCE / 2, rng.random())
+    up_f, low_f = rng.choice(levels), rng.choice(levels)
+    return PboxInterval(CdfPoint(lo, up_f, 0.0), CdfPoint(hi, low_f, 0.0))
+
+
+def _reanchored(d, lo, hi):
+    return repair_dominance(PboxInterval(anchor(d.lo, lo), anchor(d.hi, hi)))
+
+
+def _projection_bits(fn, *args):
+    """The bits of ``fn(*args)``, or the type of the error it raised."""
+    try:
+        return _bits([fn(*args)])
+    except (ValueError, Inconsistent) as exc:
+        return type(exc)
+
+
+class TestFlatProjection:
+    def test_projection_and_stock_floor_match_anchor_and_repair(self):
+        # On flat lines, _project and the stock floor's slide equal
+        # re-anchoring both points and repairing dominance, bit for bit, or
+        # raise the same error: a level conflict, or a move that overflows.
+        rng = random.Random(26)
+        seen = set()
+        for _ in range(3000):
+            d = _flat_domain(rng)
+            lo, hi = sorted(
+                min(max(t * d.lo.q + (1.0 - t) * d.hi.q, d.lo.q), d.hi.q)
+                for t in (rng.choice((0.0, 1.0, rng.random())) for _ in range(2))
+            )
+            store, (v,) = _store_with(d)
+            store._lo, store._hi, store._moved = [lo], [hi], set()
+            got = _projection_bits(store._project, v)
+            assert got == _projection_bits(_reanchored, d, lo, hi), (d, lo, hi)
+            seen.add(got if isinstance(got, type) else "projected")
+            if d.lo.q < 0.0:
+                # build_model's stock floor.
+                floor = QuantileInterval(0.0, max(d.hi.q, 0.0))
+                want = _projection_bits(
+                    lambda: _reanchored(d, *intersect_quantiles(d.lo.q, d.hi.q, 0.0, floor.hi))
+                )
+                assert _projection_bits(slide, d, floor) == want, d
+        assert seen == {"projected", Inconsistent, ValueError}
 
 
 def _random_network(rng, n_vars=6, n_constraints=5):

@@ -35,6 +35,7 @@ from pboxcdf.pbox import (
     PboxInterval,
     check_dominance,
     convex_interval,
+    is_vacuous,
     lower_at,
     point_mass,
     project,
@@ -151,23 +152,51 @@ def _three_branch_combine_bindings(op, a, b):
         return convex_interval(rz.lo, rz.hi)
 
 
-_levels = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# Levels at and within the tolerance of the ends of [0, 1].
+_EDGE_LEVELS = (0.0, 1.0, TOLERANCE / 2, 1.0 - TOLERANCE / 2)
+_levels = st.one_of(st.sampled_from(_EDGE_LEVELS), st.floats(0.0, 1.0))
 _slopes = st.one_of(st.just(0.0), st.floats(0.0, 0.1), st.floats(0.0, 50.0))
 
 
+def _split_point(q, low_f):
+    """A point mass at ``q`` built from two distinct cdf points, with lower
+    level ``low_f``."""
+    return PboxInterval(CdfPoint(q, 1.0, 0.0), CdfPoint(q, low_f, 0.0))
+
+
+def _flat(lo, hi, up_f, low_f):
+    """Two flat lines that are not a convex range: upper level below 1, or
+    lower level above 0."""
+    if (up_f, low_f) == (1.0, 0.0):
+        low_f = TOLERANCE / 2
+    return PboxInterval(CdfPoint(lo, up_f, 0.0), CdfPoint(hi, low_f, 0.0))
+
+
+# The operand kinds that bind as plain intervals when paired with each other
+# and that are not built by point_mass or convex_interval.
+_VACUOUS_KINDS = ("split point", "flat")
+_KINDS = ("point", "convex", "lines", *_VACUOUS_KINDS)
+
+
 @st.composite
-def _bindings(draw):
-    """Point masses, convex ranges and line pairs, some of whose lines end
-    exactly at cdf 0 or 1 on the far quantile bound."""
+def _bindings(draw, kinds=_KINDS):
+    """Point masses (some from two distinct cdf points), convex ranges, flat
+    line pairs that are not convex ranges, and line pairs, some of whose
+    lines end exactly at cdf 0 or 1 on the far quantile bound; drawn from
+    ``kinds``."""
     lo = draw(st.one_of(st.just(0.0), st.floats(-100.0, 100.0)))
-    kind = draw(st.sampled_from(["point", "convex", "lines"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "point":
         return point_mass(lo)
+    if kind == "split point":
+        return _split_point(lo, draw(_levels))
     width = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 100.0)))
     hi = lo + width
     if kind == "convex":
         return convex_interval(lo, hi)
     up_f, low_f = draw(_levels), draw(_levels)
+    if kind == "flat":
+        return _flat(lo, hi, up_f, low_f)
     up_s, low_s = draw(_slopes), draw(_slopes)
     # A width of a few ulps would give such lines an overflowing slope.
     if hi - lo > 1e-300 and draw(st.booleans()):
@@ -192,9 +221,11 @@ def _bits(outcome):
 
 
 def _sweep_operand(rng):
-    """A point mass, convex range, envelope or pair of lines; some lie near
-    the float range's end or have subnormal quantiles or slopes."""
-    kind = rng.choice(("point", "convex", "envelope", "lines"))
+    """A point mass (plain or from two distinct cdf points), convex range,
+    flat line pair that is not a convex range, envelope or pair of lines;
+    some lie near the float range's end or have subnormal quantiles or
+    slopes."""
+    kind = rng.choice(("point", "split point", "convex", "flat", "envelope", "lines"))
     if kind == "envelope":
         return random_envelope(rng)
     roll = rng.random()
@@ -207,11 +238,15 @@ def _sweep_operand(rng):
     else:
         lo = rng.choice((0.0, rng.uniform(-100.0, 100.0)))
         hi = lo + rng.choice((0.0, 1e-7, rng.uniform(0.0, 100.0)))
+    levels = (*_EDGE_LEVELS, rng.random())
     if kind == "point":
         return point_mass(lo)
+    if kind == "split point":
+        return _split_point(lo, rng.choice(levels))
     if kind == "convex":
         return convex_interval(lo, hi)
-    levels = (0.0, 1.0, rng.random())
+    if kind == "flat":
+        return _flat(lo, hi, rng.choice(levels), rng.choice(levels))
     slopes = (0.0, 5e-324, rng.uniform(0.0, 0.1), rng.uniform(0.0, 50.0))
     up_f, low_f = rng.choice(levels), rng.choice(levels)
     up_s, low_s = rng.choice(slopes), rng.choice(slopes)
@@ -241,11 +276,31 @@ def combine_sweep(seed, n):
 
 
 class TestCombineBindings:
-    @given(st.sampled_from(["add", "sub", "mul"]), _bindings(), _bindings())
+    @given(
+        st.sampled_from(["add", "sub", "mul"]),
+        _bindings(_KINDS[:3]),
+        _bindings(_KINDS[:3]),
+    )
     @settings(max_examples=1500, deadline=None)
     def test_one_rule_matches_three_branches(self, op, a, b):
         # Subtraction as addition of the negated operand, and one loop for
         # the shifted and scaled copies, give the same binding bit for bit.
+        assert _outcome(combine_bindings, op, a, b) == _outcome(
+            _three_branch_combine_bindings, op, a, b
+        )
+
+    @given(
+        st.sampled_from(["add", "sub", "mul"]),
+        _bindings(_VACUOUS_KINDS),
+        _bindings(),
+        st.booleans(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_one_rule_matches_three_branches_on_flat_operands(self, op, a, b, swap):
+        # Flat lines and point masses from distinct cdf points, against
+        # every kind, on either side.
+        if swap:
+            a, b = b, a
         assert _outcome(combine_bindings, op, a, b) == _outcome(
             _three_branch_combine_bindings, op, a, b
         )
@@ -349,8 +404,51 @@ class TestCombineBindings:
 
     def test_matches_three_branches_on_a_seeded_sweep(self):
         # A larger sweep runs in CI: combine_sweep(1, 50_000).
-        seen = combine_sweep(19, 2000)
-        assert seen["binding"] > 1000 and seen["ValueError"] > 50
+        seen = combine_sweep(19, 4500)
+        assert seen["binding"] > 2250 and seen["ValueError"] > 110
+
+
+def _vacuous_term(rng):
+    """A point mass (plain or with a lower level of 0) or a convex range,
+    some near the float range's end."""
+    big = rng.random() < 0.2
+    if big:
+        lo = rng.choice((-1.0, 1.0)) * rng.uniform(1e307, 1.6e308)
+    else:
+        lo = rng.choice((0.0, rng.uniform(-100.0, 100.0)))
+    kind = rng.choice(("point", "split point", "convex"))
+    if kind == "point":
+        return point_mass(lo)
+    if kind == "split point":
+        return _split_point(lo, 0.0)
+    if big:
+        return convex_interval(lo, lo + abs(lo) * rng.uniform(0.0, 0.05))
+    return convex_interval(lo, lo + rng.choice((1e-7, rng.uniform(0.0, 100.0))))
+
+
+class TestSumBinding:
+    def test_vacuous_terms_fold_like_the_reference(self):
+        # The float fold equals the stepwise fold of the reference rule bit
+        # for bit, overflows included.
+        rng = random.Random(26)
+        seen = set()
+        for _ in range(2000):
+            terms = [_vacuous_term(rng) for _ in range(rng.randint(2, 9))]
+            assert all(map(is_vacuous, terms))
+            got = _bits(_outcome(inventory._sum_binding, terms))
+            want = terms[0]
+            for term in terms[1:]:
+                want = _outcome(_three_branch_combine_bindings, "add", want, term)
+                if want is ValueError:
+                    break
+            assert got == _bits(want), terms
+            seen.add(got if got is ValueError else "point" if got[0] == got[3] else "range")
+        assert seen == {ValueError, "point", "range"}
+
+    def test_overflowing_vacuous_sum_raises(self):
+        terms = [point_mass(1.0), convex_interval(0.0, 1e308), convex_interval(0.0, 1e308)]
+        with pytest.raises(ValueError, match="overflowed"):
+            inventory._sum_binding(terms)
 
 
 class TestBuildModel:

@@ -17,6 +17,7 @@ from pboxcdf.pbox import (
     convex_interval,
     empirical_cdf,
     envelope,
+    is_vacuous,
     lower_at,
     meet,
     point_mass,
@@ -304,6 +305,18 @@ class TestDominanceAgainstScan:
             assert moved.s == s
             assert math.copysign(1.0, moved.f) == math.copysign(1.0, expected)
             assert moved.f == expected
+
+
+def test_vacuous_means_no_cdf_knowledge():
+    assert is_vacuous(convex_interval(1.0, 5.0))
+    assert is_vacuous(point_mass(3.0))
+    # A point whose lower line sits at 0, as a convex range slid onto a point.
+    assert is_vacuous(PboxInterval(CdfPoint(3.0, 1.0, 0.0), CdfPoint(3.0, 0.0, 0.0)))
+    # A lower level within the tolerance of 0 can still be the tightest line.
+    assert not is_vacuous(PboxInterval(CdfPoint(3.0, 1.0, 0.0), CdfPoint(3.0, 5e-10, 0.0)))
+    assert not is_vacuous(PboxInterval(CdfPoint(1.0, 1.0, 0.0), CdfPoint(5.0, 1.0, 0.0)))
+    assert not is_vacuous(PboxInterval(CdfPoint(1.0, 0.9, 0.0), CdfPoint(5.0, 0.0, 0.0)))
+    assert not is_vacuous(EX2)
 
 
 class TestMeet:
