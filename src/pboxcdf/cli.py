@@ -1,7 +1,7 @@
 """Command-line front end: observation ingestion, model solving, benchmarks.
 
 Exit codes: 0 on success, 1 when a solved model is inconsistent, 2 on usage
-or input errors.
+or input errors, an unwritable output path included.
 """
 
 from __future__ import annotations
@@ -30,12 +30,17 @@ def _input_error(message) -> int:
     return EXIT_USAGE
 
 
-def _write_json(obj: dict, out: str | None) -> None:
+def _write_json(obj: dict, out: str | None) -> int:
+    # Returns the exit code: an unwritable path is an input error.
     text = json.dumps(obj, indent=2)
     if out is None or out == "-":
         print(text)
-    else:
+        return EXIT_OK
+    try:
         Path(out).write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        return _input_error(f"cannot write {out}: {exc}")
+    return EXIT_OK
 
 
 def cmd_ingest(args) -> int:
@@ -46,7 +51,9 @@ def cmd_ingest(args) -> int:
     except ValueError as exc:
         return _input_error(exc)
     domain = envelope(empirical_cdf(obs))
-    _write_json(domain.to_dict(), args.out)
+    code = _write_json(domain.to_dict(), args.out)
+    if code != EXIT_OK:
+        return code
     print(
         f"ingested {len(obs.entries)} quantiles, population m={obs.m}, "
         f"range [{domain.lo.q}, {domain.hi.q}], "
@@ -69,8 +76,10 @@ def cmd_solve(args) -> int:
         store.propagate()
     except (ValueError, DivisorStraddlesZero) as exc:
         return _input_error(exc)
-    _write_json(solution_dict(store, order), args.out)
-    return EXIT_INCONSISTENT if store.status == FAILED else EXIT_OK
+    code = _write_json(solution_dict(store, order), args.out)
+    if code == EXIT_OK and store.status == FAILED:
+        return EXIT_INCONSISTENT
+    return code
 
 
 def _parse_horizons(text: str) -> list[int]:
@@ -88,7 +97,8 @@ def _parse_horizons(text: str) -> list[int]:
     return horizons
 
 
-def _emit_cycles_csv(report: dict, path: str) -> None:
+def _emit_cycles_csv(report: dict, path: str) -> int:
+    # Returns the exit code, as _write_json does.
     import csv as _csv
 
     rows = []
@@ -110,11 +120,15 @@ def _emit_cycles_csv(report: dict, path: str) -> None:
                     "demand_hi": cyc["demand"]["hi"]["q"],
                 }
             )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=list(rows[0].keys()) if rows else [])
-        if rows:
-            writer.writeheader()
-            writer.writerows(rows)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = _csv.DictWriter(fh, fieldnames=list(rows[0].keys()) if rows else [])
+            if rows:
+                writer.writeheader()
+                writer.writerows(rows)
+    except OSError as exc:
+        return _input_error(f"cannot write {path}: {exc}")
+    return EXIT_OK
 
 
 def cmd_bench(args) -> int:
@@ -147,9 +161,11 @@ def cmd_bench(args) -> int:
         )
     except ValueError as exc:
         return _input_error(exc)
-    _write_json(report, args.out)
-    if args.cycles_csv:
-        _emit_cycles_csv(report, args.cycles_csv)
+    code = _write_json(report, args.out)
+    if code == EXIT_OK and args.cycles_csv:
+        code = _emit_cycles_csv(report, args.cycles_csv)
+    if code != EXIT_OK:
+        return code
     if args.verbose:
         for row in report["rows"]:
             print(

@@ -7,13 +7,11 @@ is queued, each variable whose bounds moved has its two cdf points slid
 along their own lines onto the new bounds and dominance-repaired.  ``eq`` and
 ``leq`` exchange cdf lines, so they read projected domains.
 
-Constraints register watch lists on their variables.  Binary constraints
-wait in one FIFO wake queue, n-ary sums in a second one that runs only when
-the first is empty, so a sum fed by a chain of binary constraints runs once
-the chain has settled.  A propagator re-enters a queue only when one of its
-variables moved by more than the fixed absolute ``TOLERANCE`` in any scalar
-component, so runs terminate at a stable fixpoint.  One n-ary ``add`` also
-runs ``sub``; ``mul`` runs ``div``.
+Constraints register watch lists on their variables and wait in one FIFO
+wake queue.  A propagator re-enters the queue only when one of its variables
+moved by more than the fixed absolute ``TOLERANCE`` in any scalar component,
+so runs terminate at a stable fixpoint.  One n-ary ``add`` also runs ``sub``;
+``mul`` runs ``div``.
 """
 
 from __future__ import annotations
@@ -38,12 +36,6 @@ from .pbox import (
     tighter_upper,
 )
 from .arith import div_bounds, mul_bounds
-
-# _prop_add's slack-test margin per (terms + 1)^2 and per unit of the largest
-# endpoint magnitude, 4 * 2^-52; and the cap on the margin below which no sum
-# of its endpoints can overflow (see _prop_add).
-_MARGIN_ULP = 2.0**-50
-_MARGIN_CAP = 2.0**970
 
 CONSISTENT = "consistent"
 FAILED = "failed"
@@ -83,10 +75,10 @@ def coerce_domain(initial) -> PboxInterval:
 
 
 class DomainStore:
-    """Solver state: domains, constraints, watch lists and the wake queues.
+    """Solver state: domains, constraints, watch lists and the wake queue.
 
     A store is single-threaded.  Stores can share one topology (names,
-    constraints, watch lists and sum flags) until one of them adds a variable
+    constraints and watch lists) until one of them adds a variable
     or a constraint, which copies it first.  ``clone`` is a cheap independent
     copy for trying narrowings on a solved store; ``fork`` starts a fresh
     store over the same topology from new domains, which is how
@@ -99,17 +91,13 @@ class DomainStore:
         self.names: list[str] = []
         self.constraints: list[Constraint] = []
         self._watchers: list[list[int]] = []
-        self._is_sum: list[bool] = []
-        # The wake queues: n-ary sums wait in _sums, every other kind in _queue.
         self._queue: deque[int] = deque()
-        self._sums: deque[int] = deque()
         self._queued: list[bool] = []
         self.status: str = CONSISTENT
         self.stats = {
             "wakes": 0,
             "prunes": 0,
             "skipped_div_projections": 0,
-            "skipped_add_passes": 0,
         }
         self._shared_topology = False
         # Only while propagate runs: every variable's quantile bounds, and
@@ -141,7 +129,6 @@ class DomainStore:
             self._unshare()
         idx = len(self.constraints)
         self.constraints.append(constraint)
-        self._is_sum.append(len(constraint.args) > 3)
         self._queued.append(False)
         for vid in set(constraint.args):
             self._watchers[vid].append(idx)
@@ -151,7 +138,6 @@ class DomainStore:
         """Independent copy sharing the (append-only) constraint topology."""
         other = self._sharing(list(self.domains))
         other._queue = deque(self._queue)
-        other._sums = deque(self._sums)
         other._queued = list(self._queued)
         other.status = self.status
         other.stats = dict(self.stats)
@@ -166,8 +152,7 @@ class DomainStore:
             raise ValueError(f"expected {len(self.names)} domains, got {len(domains)}")
         n = len(self.constraints)
         other = self._sharing(domains)
-        other._queue = deque(idx for idx in range(n) if not self._is_sum[idx])
-        other._sums = deque(idx for idx in range(n) if self._is_sum[idx])
+        other._queue = deque(range(n))
         other._queued = [True] * n
         other.status = CONSISTENT
         other.stats = dict.fromkeys(self.stats, 0)
@@ -181,7 +166,6 @@ class DomainStore:
         other.names = self.names
         other.constraints = self.constraints
         other._watchers = self._watchers
-        other._is_sum = self._is_sum
         other._shared_topology = True
         other._lo = other._hi = other._moved = None
         self._shared_topology = True
@@ -191,37 +175,28 @@ class DomainStore:
         self.names = list(self.names)
         self.constraints = list(self.constraints)
         self._watchers = [list(w) for w in self._watchers]
-        self._is_sum = list(self._is_sum)
         self._shared_topology = False
 
     # -- propagation -------------------------------------------------------
 
-    def _queue_of(self, idx: int) -> deque[int]:
-        return self._sums if self._is_sum[idx] else self._queue
-
     def _enqueue(self, idx: int) -> None:
         if not self._queued[idx]:
             self._queued[idx] = True
-            self._queue_of(idx).append(idx)
+            self._queue.append(idx)
 
     def _wake(self, vid: int) -> None:
         # Counts one domain write and queues the watchers of the variable.
         self.stats["prunes"] += 1
-        queued, is_sum = self._queued, self._is_sum
-        queue, sums = self._queue, self._sums
+        queued, queue = self._queued, self._queue
         for idx in self._watchers[vid]:
             if not queued[idx]:
                 queued[idx] = True
-                if is_sum[idx]:
-                    sums.append(idx)
-                else:
-                    queue.append(idx)
+                queue.append(idx)
 
     def fail(self) -> None:
         """Mark the store inconsistent and drop all pending wakes."""
         self.status = FAILED
         self._queue.clear()
-        self._sums.clear()
 
     def _update(self, vid: int, new: PboxInterval) -> None:
         # Writes a domain that moved by more than TOLERANCE in any component.
@@ -260,22 +235,21 @@ class DomainStore:
         no propagator is queued, each variable whose bounds moved has its two
         cdf points re-anchored onto them and dominance-repaired; a repair that
         cuts a bound wakes the variable's watchers and propagation goes on.
-        An n-ary ``add`` runs only when no other constraint is queued.
 
         A propagator that raises :class:`DivisorStraddlesZero` has changed
         nothing; it is set aside, and a change to one of its variables wakes
-        it as usual.  Once the queues are empty the set-aside constraints run
+        it as usual.  Once the queue is empty the set-aside constraints run
         again, and if a round of them changes no domain the first one is put
         back at the head of the queue and its error is raised, so a model
         errors only if a divisor still contains zero at the fixpoint,
         whatever the order of its constraints.  An overflow ``ValueError``
-        puts the interrupted constraint back at the head of its queue and is
+        puts the interrupted constraint back at the head of the queue and is
         re-raised.  Either way the store never reports a fixpoint it has not
         reached, and every exit leaves the domains projected.
         """
         if self.status == FAILED:
             return FAILED
-        if not (self._queue or self._sums):
+        if not self._queue:
             return CONSISTENT
         domains = self.domains
         self._lo = [d.lo.q for d in domains]
@@ -297,7 +271,7 @@ class DomainStore:
             self._lo = self._hi = self._moved = None
 
     def _fixpoint(self) -> str:
-        queue, sums, queued = self._queue, self._sums, self._queued
+        queue, queued = self._queue, self._queued
         constraints, stats, moved = self.constraints, self.stats, self._moved
         waiting: dict[int, DivisorStraddlesZero] = {}
         writes = -1
@@ -305,8 +279,6 @@ class DomainStore:
             while True:
                 if queue:
                     idx = queue.popleft()
-                elif sums:
-                    idx = sums.popleft()
                 elif moved:
                     self._project(moved.pop())
                     continue
@@ -321,7 +293,7 @@ class DomainStore:
                     waiting[idx] = exc
                 except ValueError:
                     queued[idx] = True
-                    self._queue_of(idx).appendleft(idx)
+                    queue.appendleft(idx)
                     for other in waiting:
                         self._enqueue(other)
                     raise
@@ -437,63 +409,21 @@ class DomainStore:
     # turn, always reading the bounds left by the previous projection.
 
     def _prop_add(self, *args: int) -> None:
-        # x1 + ... + xn = z in O(n): z takes the left-to-right sum S of the
+        # x1 + ... + xn = z in O(n): z takes the left-to-right sum of the
         # terms; term k takes z minus the later terms, one at a time, minus the
         # sum of the earlier ones as narrowed: a binary-sum chain without
         # accumulators.  The interval sums are computed inline: this is the
         # hottest propagator.
-        #
-        # Slack test (Harvey & Schimpf, TRICS 2002).  In exact arithmetic term
-        # k's new lower bound is hi_k - (S_hi - z_lo), so it moves only if its
-        # width w_k exceeds S_hi - z_lo; likewise for the upper bound with
-        # z_hi - S_lo.  When wmax + margin < min(S_hi - z_lo, z_hi - S_lo),
-        # the backward pass would narrow no term, so it is skipped.
-        #
-        # Margin.  Let B = max(hi, -lo) over the terms and z, which bounds
-        # |lo| and |hi| as lo <= hi, and u = 2^-53.  Each float sum here (S,
-        # the slack, a term's backward bound) adds or subtracts at most n+1 of
-        # those values with at most n roundings, so it is within n*(n+1)*u*B
-        # of its exact value; a width is within 2*u*B.  The slack and one
-        # backward bound together are off by under 2*(n+1)^2*u*B, and the
-        # margin 4*(n+1)^2*2^-52*B is four times that, higher-order terms
-        # included.  So a skip implies w_k < S_hi - z_lo exactly, and every
-        # term's float bound would have passed the contraction test below.
-        # The test also requires (n+1)*B < 2^1020 (margin < 2^970): then no
-        # sum overflows, and a non-finite S or slack never skips.
-        #
-        # z is read after its narrowing.  If z is also a term and it moved,
-        # S cut one of its old bounds, so that side's slack is below z's old
-        # width and the test fails: a skip sees the terms the backward pass
-        # would read.
         los, his = self._lo, self._hi
         n = len(args) - 1
         x = args[0]
         lo, hi = los[x], his[x]
-        wmax = hi - lo
-        big = hi if hi > -lo else -lo
         for x in args[1:n]:
-            t_lo, t_hi = los[x], his[x]
-            lo += t_lo
-            hi += t_hi
-            if t_hi - t_lo > wmax:
-                wmax = t_hi - t_lo
-            if t_hi > big:
-                big = t_hi
-            if -t_lo > big:
-                big = -t_lo
+            lo += los[x]
+            hi += his[x]
         z = args[n]
         self._narrow(z, lo, hi)
-        z_lo, z_hi = los[z], his[z]
-        if z_hi > big:
-            big = z_hi
-        if -z_lo > big:
-            big = -z_lo
-        margin = (n + 1) * (n + 1) * _MARGIN_ULP * big
-        bar = wmax + margin
-        if bar < hi - z_lo and bar < z_hi - lo and margin < _MARGIN_CAP:
-            self.stats["skipped_add_passes"] += 1
-            return
-        lo, hi = z_lo, z_hi
+        lo, hi = los[z], his[z]
         rests = [(lo, hi)]
         for i in range(n - 1, 0, -1):
             x = args[i]

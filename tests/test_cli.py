@@ -25,6 +25,29 @@ def obs_csv(tmp_path):
     return path
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ingest", "--input", "{obs}", "--out", "{bad}"],
+        ["solve", "--input", "{model}", "--out", "{bad}"],
+        ["bench", "--horizons", "3", "--out", "{bad}"],
+        ["bench", "--horizons", "3", "--out", "{out}", "--cycles-csv", "{bad}"],
+    ],
+)
+def test_unwritable_output_exits_two(tmp_path, obs_csv, capsys, command):
+    # An output path in a missing directory is an input error, reported
+    # without a traceback.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"vars": [{"name": "x", "range": [0, 1]}], "constraints": []}))
+    bad = tmp_path / "missing" / "out.json"
+    paths = {"obs": obs_csv, "model": model, "out": tmp_path / "report.json", "bad": bad}
+    code = main([arg.format(**paths) for arg in command])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: ")
+    assert "Traceback" not in err
+
+
 class TestIngest:
     def test_tolerance_variable_is_ignored(self, obs_csv, tmp_path):
         # The comparison tolerance is fixed; the old PBOX_TOLERANCE setting
