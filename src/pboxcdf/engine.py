@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .pbox import (
     TOLERANCE,
+    CdfPoint,
     DivisorStraddlesZero,
     Inconsistent,
     PboxInterval,
@@ -60,6 +61,11 @@ class Constraint:
         n = len(self.args)
         if n < arity or n > arity and self.kind != "add":
             raise ValueError(f"constraint {self.kind!r} takes {arity} variables, got {n}")
+
+
+def _level(p: CdfPoint, q: float) -> float:
+    # The cdf level of anchor(p, q), without building the point.
+    return min(max(p.f + p.s * (q - p.q), 0.0), 1.0)
 
 
 def coerce_domain(initial) -> PboxInterval:
@@ -219,7 +225,10 @@ class DomainStore:
         self._wake(vid)
 
     def tighten(self, vid: int, narrower) -> str:
-        """Meet a variable's domain with a narrower one and propagate wakes."""
+        """Meet a variable's domain with a narrower one, counting a write and
+        queueing its watchers if it moved; an empty meet fails the store.
+        Model building never calls it: ``inventory.build_model`` meets its
+        orders floor into the bindings before the fork."""
         if self.status == FAILED:
             return FAILED
         try:
@@ -360,10 +369,11 @@ class DomainStore:
                 )
             new_lo = new_hi = 0.5 * (new_lo + new_hi)
         if abs(new_lo - cur_lo) <= TOLERANCE and abs(new_hi - cur_hi) <= TOLERANCE:
-            d = self.domains[vid]
-            if (
-                abs(anchor(d.lo, new_lo).f - anchor(d.lo, cur_lo).f) <= TOLERANCE
-                and abs(anchor(d.hi, new_hi).f - anchor(d.hi, cur_hi).f) <= TOLERANCE
+            # Flat lines keep their levels wherever they are anchored.
+            up, low = self.domains[vid].lo, self.domains[vid].hi
+            if (up.s == 0.0 and low.s == 0.0) or (
+                abs(_level(up, new_lo) - _level(up, cur_lo)) <= TOLERANCE
+                and abs(_level(low, new_hi) - _level(low, cur_hi)) <= TOLERANCE
             ):
                 return
         self._lo[vid] = new_lo

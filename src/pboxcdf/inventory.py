@@ -31,6 +31,7 @@ from .pbox import (
     is_vacuous,
     json_number,
     load_observations_csv,
+    meet,
     point_mass,
     project,
     repair_dominance,
@@ -350,13 +351,14 @@ class ModelVars:
     order: tuple[int, ...] = ()
     stock: tuple[int, ...] = ()
     demand: tuple[int, ...] = ()
-    order_cost: tuple[int, ...] = ()
     total_orders: int = -1
+    ordering: int = -1
     tc: int = -1
     holding: int = -1
 
 
-# The domain of a cycle without an order: no quantity and no ordering cost.
+# The domain of a cycle without an order, and the ordering cost of a schedule
+# that places none.
 _ZERO = point_mass(0.0)
 
 
@@ -379,44 +381,44 @@ def _network(horizon: int) -> tuple[DomainStore, ModelVars]:
     horizon for the process.
 
     Variables: ``h``, ``v`` and ``stock0``, then per cycle its demand, order,
-    ordering cost, supply and stock, then the order and stock totals (a
-    single cycle's order and stock are their own totals), holding, purchase
-    and the total cost.  Per cycle, supply is stock plus order and stock is
-    supply minus demand; holding and purchase are each one product over a
-    total.
+    supply and stock, then the order and stock totals (a single cycle's
+    order and stock are their own totals), the total ordering cost, holding,
+    purchase and the total cost: 4n + 9 variables over n cycles, 4n + 7 at
+    one cycle.  Per cycle, supply is stock plus order and stock is supply
+    minus demand; holding and purchase are each one product over a total,
+    and the total cost is the 3-term sum of ordering, holding and purchase.
     """
     store = DomainStore()
     new_var = store.new_var
     hvar = new_var(_ZERO, name="h")
     vvar = new_var(_ZERO, name="v")
     prev_stock = new_var(_ZERO, name="stock0")
-    demand, order, order_cost, stock = [], [], [], []
+    demand, order, stock = [], [], []
     for cyc in range(1, horizon + 1):
         d_t = new_var(_ZERO, name=f"demand{cyc}")
         x_t = new_var(_ZERO, name=f"order{cyc}")
-        a_t = new_var(_ZERO, name=f"ordering_cost{cyc}")
         b_t = new_var(_ZERO, name=f"supply{cyc}")
         i_t = new_var(_ZERO, name=f"stock{cyc}")
         store.post(Constraint("add", (prev_stock, x_t, b_t)))
         store.post(Constraint("sub", (b_t, d_t, i_t)))
         demand.append(d_t)
         order.append(x_t)
-        order_cost.append(a_t)
         stock.append(i_t)
         prev_stock = i_t
     total_orders = _post_sum(store, order, "total_orders")
     total_stock = _post_sum(store, stock, "total_stock")
+    ordering = new_var(_ZERO, name="total_ordering")
     holding = new_var(_ZERO, name="total_holding")
     store.post(Constraint("mul", (hvar, total_stock, holding)))
     purchase = new_var(_ZERO, name="total_purchase")
     store.post(Constraint("mul", (vvar, total_orders, purchase)))
-    tc = _post_sum(store, [*order_cost, holding, purchase], "total_cost")
+    tc = _post_sum(store, [ordering, holding, purchase], "total_cost")
     return store, ModelVars(
         order=tuple(order),
         stock=tuple(stock),
         demand=tuple(demand),
-        order_cost=tuple(order_cost),
         total_orders=total_orders,
+        ordering=ordering,
         tc=tc,
         holding=holding,
     )
@@ -458,13 +460,16 @@ def build_model(
     are each one product over a total, ``h * sum(stock_t)`` and
     ``v * sum(order_t)``: costs, stock and orders are non-negative, and over
     non-negative intervals multiplication distributes over addition
-    exactly, so the per-cycle products would add no bound.  A floor on the total orders prices
-    purchase into the total cost's lower bound.
+    exactly, so the per-cycle products would add no bound.  The ordering
+    cost is one constant, the per-order cost summed over the orders placed;
+    no constraint narrows it.  A floor on the total orders, set in their
+    binding, prices purchase into the total cost's lower bound once the
+    network propagates.
 
     Every network of a horizon is filled into its one topology (see
     :func:`_network`): this computes the initial bindings in its variable
-    order and forks a store over them.  A schedule that its bindings
-    already rule out gets an empty failed store.
+    order and forks a store over them, which it does not edit.  A schedule
+    that its bindings already rule out gets an empty failed store.
     """
     inst, cost = inputs.inst, inputs.ordering_cost
     if len(schedule) != inst.horizon:
@@ -474,15 +479,15 @@ def build_model(
 
     prev_stock = inputs.initial_stock
     domains = [inputs.holding_cost, inputs.unit_cost, prev_stock]
-    orders, stocks, order_costs = [], [], []
+    orders, stocks = [], []
     for t in range(inst.horizon):
         d_t = inputs.demands[t]
         if not schedule[t]:
-            x_t = a_t = _ZERO
+            x_t = _ZERO
         elif order_sizes is not None:
-            x_t, a_t = point_mass(order_sizes[t]), cost
+            x_t = point_mass(order_sizes[t])
         else:
-            x_t, a_t = inputs.order_range, cost
+            x_t = inputs.order_range
         # stock balance: stock_t = stock_{t-1} + order_t - demand_t, >= 0
         b_t = combine_bindings("add", prev_stock, x_t)
         # Stock that rounds to a hair below zero still counts as empty.
@@ -491,10 +496,9 @@ def build_model(
             return _failed()
         if i_t.lo.q < 0.0:
             i_t = slide(i_t, QuantileInterval(0.0, max(i_t.hi.q, 0.0)))
-        domains += (d_t, x_t, a_t, b_t, i_t)
+        domains += (d_t, x_t, b_t, i_t)
         orders.append(x_t)
         stocks.append(i_t)
-        order_costs.append(a_t)
         prev_stock = i_t
 
     total_orders = _sum_binding(orders)
@@ -508,15 +512,22 @@ def build_model(
     # total ordered quantity is floored by worst-case total demand.  Pinned
     # covering sizes can sum to a rounding ulp below that floor.
     worst_total = sum(inputs.worst) - inst.initial_stock
-    if worst_total > total_orders.hi.q + TOLERANCE:
+    hi = total_orders.hi.q
+    if worst_total > hi + TOLERANCE:
         return _failed()
-    domains += (holding, purchase, _sum_binding([*order_costs, holding, purchase]))
+    placed = sum(map(bool, schedule))
+    ordering = _sum_binding([cost] * placed) if placed else _ZERO
+    domains += (ordering, holding, purchase, _sum_binding([ordering, holding, purchase]))
 
     network, mv = _network(inst.horizon)
-    store = network.fork(domains)
     if worst_total > total_orders.lo.q:
-        store.tighten(mv.total_orders, (min(worst_total, total_orders.hi.q), total_orders.hi.q))
-    return store, mv
+        try:
+            domains[mv.total_orders] = meet(
+                total_orders, convex_interval(min(worst_total, hi), hi)
+            )
+        except Inconsistent:
+            return _failed()
+    return network.fork(domains), mv
 
 
 # -- schedule evaluation ------------------------------------------------------

@@ -88,7 +88,14 @@ class PboxInterval:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PboxInterval":
-        return cls(CdfPoint.from_dict(obj["lo"]), CdfPoint.from_dict(obj["hi"]))
+        """A domain from its JSON form with dominance repaired (a dominant
+        one is returned as built); one that admits no cdf raises
+        ``ValueError``."""
+        domain = cls(CdfPoint.from_dict(obj["lo"]), CdfPoint.from_dict(obj["hi"]))
+        try:
+            return repair_dominance(domain)
+        except Inconsistent as exc:
+            raise ValueError(f"domain admits no cdf: {exc}") from None
 
 
 def convex_interval(lo_q: float, hi_q: float) -> PboxInterval:

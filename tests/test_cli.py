@@ -241,6 +241,22 @@ class TestSolve:
                 "constraint must be an object with a list of args",
             ),
             (
+                # Its upper cdf bound, flat at 0.1, lies below its lower one,
+                # flat at 0.9, everywhere.
+                {
+                    "vars": [
+                        {
+                            "name": "x",
+                            "domain": {
+                                "lo": {"q": 0, "f": 0.1, "s": 0},
+                                "hi": {"q": 10, "f": 0.9, "s": 0},
+                            },
+                        }
+                    ]
+                },
+                "variable 'x': domain admits no cdf",
+            ),
+            (
                 {"vars": [{"name": "x", "domain": {"lo": {"q": 0, "f": 1, "s": 0}}}]},
                 "variable 'x' has a malformed domain",
             ),
@@ -271,6 +287,7 @@ class TestSolve:
         ],
         ids=[
             "args-not-a-list",
+            "domain-admitting-no-cdf",
             "domain-without-hi",
             "var-not-an-object",
             "constraint-not-an-object",
@@ -286,6 +303,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
+
+    def test_crossing_domain_is_repaired(self, tmp_path):
+        # The lower line reaches 0.9 at q 10, above the upper line's 0.5: the
+        # domain loads cut to where the lines cross, q 2, and solves.
+        crossing = {"lo": {"q": 0, "f": 0, "s": 0.05}, "hi": {"q": 10, "f": 0.9, "s": 0.1}}
+        code, payload = self._solve(tmp_path, {"vars": [{"name": "x", "domain": crossing}]})
+        assert code == 0
+        assert payload["status"] == "consistent"
+        domain = payload["vars"][0]["domain"]
+        assert domain["lo"] == {"q": 0.0, "f": 0.0, "s": 0.05}
+        assert domain["hi"]["q"] == pytest.approx(2.0)
 
     def test_malformed_json_exits_two(self, tmp_path):
         model_path = tmp_path / "model.json"
@@ -404,6 +432,21 @@ class TestBench:
                 "demands[1]: expected a number of type float, got True",
             ),
             (
+                {
+                    "horizon": 2,
+                    "demands": [
+                        {
+                            "domain": {
+                                "lo": {"q": 10, "f": 0.1, "s": 0},
+                                "hi": {"q": 20, "f": 0.9, "s": 0},
+                            }
+                        },
+                        5,
+                    ],
+                },
+                "demands[0]: domain admits no cdf",
+            ),
+            (
                 {"horizon": 2, "demands": [5, 6], "initial_stock": math.nan},
                 "initial stock must be finite and >= 0, got nan",
             ),
@@ -442,6 +485,7 @@ class TestBench:
             "string-horizon",
             "fractional-seed",
             "bool-demand",
+            "demand-domain-admitting-no-cdf",
             "nan-initial-stock",
             "infinite-initial-stock",
             "nan-x-min",

@@ -76,6 +76,25 @@ def winner_golden_rows(horizon, mode=None):
     return len(rows)
 
 
+# Forty instances from h2 to h10 with uncertain costs (cost_instance), 19 of
+# them with initial stock, and their winners under both models.
+UNCERTAIN_COSTS = Path(__file__).parent / "data" / "search_uncertain_costs.json"
+
+
+def cost_golden_rows():
+    """Checks the search's winners against every row of the uncertain-cost
+    golden, bit for bit: schedule, ``tc``, ``tc_hull``, ``holding`` and the
+    per-cycle domains; returns how many rows were checked."""
+    rows = json.loads(UNCERTAIN_COSTS.read_text())
+    for row in rows:
+        inst = InventoryInstance.from_dict(row["instance"])
+        best = search(inst, row["model"]).best.to_dict()
+        assert "".join(map(str, best["schedule"])) == row["schedule"], row["instance"]
+        for key in ("tc", "tc_hull", "holding", "cycles"):
+            assert best[key] == row[key], (key, row["model"], row["instance"])
+    return len(rows)
+
+
 def tied_instance():
     """h7 seed 4 without holding cost, where seven covered leaves cost
     exactly the least cost."""
@@ -598,15 +617,19 @@ class TestBuildModel:
                 if vid not in read and vid != mv.tc
             ]
             assert unread == [], (schedule, sizes)
-        # Per cycle, one supply sum and one stock balance; the order, stock
-        # and total-cost sums; holding priced once on the total stock and
-        # purchase once on the total orders.
+        # Per cycle, demand, order, supply and stock, one supply sum and one
+        # stock balance; the order, stock and 3-term total-cost sums over
+        # one ordering-cost constant; holding priced once on the total stock
+        # and purchase once on the total orders: 4n + 9 variables.
         every, _ = build_model(inputs, [True] * 7)
         kinds = [c.kind for c in every.constraints]
-        assert len(every.domains) == 43
+        assert len(every.domains) == 37
         assert (kinds.count("add"), kinds.count("sub"), kinds.count("mul")) == (7 + 3, 7, 2)
+        assert [every.names[vid] for vid in every.constraints[-1].args] == [
+            "total_ordering", "total_holding", "total_purchase", "total_cost"
+        ]
         long, _ = build_model(model_inputs(default_instance(24, 42), mode), [True] * 24)
-        assert (len(long.domains), len(long.constraints)) == (128, 53)
+        assert (len(long.domains), len(long.constraints)) == (105, 53)
 
     def test_growing_one_network_leaves_the_next_build_unchanged(self):
         # Every network of a horizon is forked from the one topology that the
@@ -663,18 +686,18 @@ class TestBuildModel:
         inst = scalar_instance(1, [5.0], x_max=10.0)
         store, mv = build_model(model_inputs(inst), [True])
         assert store.names == [
-            "h", "v", "stock0", "demand1", "order1", "ordering_cost1", "supply1",
-            "stock1", "total_holding", "total_purchase", "total_cost",
+            "h", "v", "stock0", "demand1", "order1", "supply1", "stock1",
+            "total_ordering", "total_holding", "total_purchase", "total_cost",
         ]
         assert store.constraints == [
-            Constraint("add", (2, 4, 6)),
-            Constraint("sub", (6, 3, 7)),
-            Constraint("mul", (0, 7, 8)),
+            Constraint("add", (2, 4, 5)),
+            Constraint("sub", (5, 3, 6)),
+            Constraint("mul", (0, 6, 8)),
             Constraint("mul", (1, 4, 9)),
-            Constraint("add", (5, 8, 9, 10)),
+            Constraint("add", (7, 8, 9, 10)),
         ]
         assert mv == ModelVars(
-            order=(4,), stock=(7,), demand=(3,), order_cost=(5,), total_orders=4, tc=10, holding=8
+            order=(4,), stock=(6,), demand=(3,), total_orders=4, ordering=7, tc=10, holding=8
         )
 
     def test_every_domain_passes_dominance_after_propagation(self, rng):
@@ -713,12 +736,12 @@ class TestRobustOrderSizes:
         assert sizes == [0.0, 2.0]
 
 
-def _brute_force(inst):
+def _brute_force(inst, mode="pbox"):
     """Enumerate all schedules with the same evaluator as the search."""
     best_key = None
     best = None
     for flags in product((False, True), repeat=inst.horizon):
-        report = evaluate_schedule(inst, flags)
+        report = evaluate_schedule(inst, flags, mode)
         if report is None:
             continue
         key = (report.tc.lo.q, report.replenishments, flags)
@@ -755,6 +778,73 @@ def _bound_instance(rng, max_horizon):
         x_min=rng.choice([1.0, 20.0]),
         x_max=rng.uniform(60.0, 150.0),
     )
+
+
+def _uncertain_cost(rng, kind, lo, hi):
+    """A cost in [lo, hi] of ``kind``: 0 a scalar, 1 an observation set, 2 a
+    convex range, 3 a p-box whose two lines reach their clip levels inside
+    its range."""
+    if kind == 0:
+        return rng.uniform(lo, hi)
+    if kind == 1:
+        return ObservationSet(
+            tuple(sorted((rng.uniform(lo, hi), rng.randint(1, 4)) for _ in range(rng.randint(2, 4))))
+        )
+    a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
+    if kind == 2:
+        return convex_interval(a, b)
+    up_f, low_f = rng.uniform(0.0, 0.6), rng.uniform(0.4, 1.0)
+    up = CdfPoint(a, up_f, (1.0 - up_f) / (b - a) * rng.uniform(1.0, 3.0))
+    low = CdfPoint(b, low_f, low_f / (b - a) * rng.uniform(1.0, 3.0))
+    return repair_dominance(PboxInterval(up, low))
+
+
+def cost_instance(rng, min_horizon, max_horizon):
+    """A random instance of horizon ``min_horizon`` to ``max_horizon`` whose
+    ordering, holding and unit costs are scalars, observation sets, convex
+    ranges or p-boxes, at least one of them uncertain; demands are scalar
+    or observed and at most x_max, so ordering in every cycle covers them;
+    initial stock is 0 or up to 75 about as often."""
+    n = rng.randint(min_horizon, max_horizon)
+    kinds = [rng.randrange(4) for _ in range(3)]
+    if not any(kinds):
+        kinds[rng.randrange(3)] = rng.randint(1, 3)
+    return InventoryInstance(
+        horizon=n,
+        ordering_cost=_uncertain_cost(rng, kinds[0], 20.0, 300.0),
+        holding_cost=_uncertain_cost(rng, kinds[1], 0.1, 4.0),
+        unit_cost=_uncertain_cost(rng, kinds[2], 0.5, 8.0),
+        demands=tuple(
+            ObservationSet(tuple(sorted((rng.uniform(5.0, 60.0), rng.randint(1, 4)) for _ in range(3))))
+            if rng.random() < 0.5
+            else rng.uniform(5.0, 60.0)
+            for _ in range(n)
+        ),
+        initial_stock=rng.choice([0.0, rng.uniform(0.0, 75.0)]),
+        x_min=rng.choice([1.0, 20.0]),
+        x_max=rng.uniform(60.0, 150.0),
+    )
+
+
+def cost_sweep(seed, instances, max_horizon):
+    """Checks, on ``instances`` random instances with uncertain costs
+    (:func:`cost_instance`, from h2), under both models in turn, that the
+    search's winner is the least ``(tc.lo.q, replenishments, schedule)`` of
+    an exhaustive enumeration by ``evaluate_schedule`` and that its report
+    is that schedule's evaluation; returns the schedules evaluated."""
+    rng = random.Random(seed)
+    evaluated = 0
+    for k in range(instances):
+        inst = cost_instance(rng, 2, max_horizon)
+        mode = MODES[k % 2]
+        key, report = _brute_force(inst, mode)
+        evaluated += 2**inst.horizon
+        best = search(inst, mode).best
+        assert (best.tc.lo.q, best.replenishments, best.schedule) == key, (inst, mode)
+        assert dataclasses.replace(best, wall_time_s=0.0) == dataclasses.replace(
+            report, wall_time_s=0.0
+        ), (inst, mode)
+    return evaluated
 
 
 def _prefix_bounds(inst, mode="pbox"):
@@ -1118,9 +1208,19 @@ class TestSearch:
     @pytest.mark.parametrize("mode", ["pbox", "convex"])
     def test_winners_match_golden_at_h384(self, mode):
         # Schedules, resolved total costs and relaxed (tc_hull) total costs
-        # of the h384 winners; tc_hull is the fixpoint of a network with a
-        # 386-term sum.  CI also checks the h500 row: winner_golden_rows(500).
+        # of the h384 winners; tc_hull is the fixpoint of a network with two
+        # 384-term sums.  CI also checks the h500 row: winner_golden_rows(500).
         assert winner_golden_rows(384, mode) == 4
+
+    def test_winners_match_golden_with_uncertain_costs(self):
+        # Observation-set, convex-range and p-box costs make the ordering
+        # cost an uncertain sum over the orders placed, which scalar costs
+        # never exercise.
+        assert cost_golden_rows() == 80
+
+    def test_winners_match_enumeration_with_uncertain_costs(self):
+        # A larger sweep runs in CI: cost_sweep(1, 300, 8).
+        assert cost_sweep(29, 40, 6) > 500
 
     @pytest.mark.parametrize("mode", ["pbox", "convex"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 42])
@@ -1213,7 +1313,7 @@ class TestBenchmark:
         assert cont["cdf_tighter_than_convex"]
 
     def test_domain_writes_count_the_search(self):
-        # The search's one fixpoint is the winner's relaxed network (28
+        # The search's one fixpoint is the winner's relaxed network (27
         # prunes here), so its counters are the winner's report's.
         result = search(tied_instance())
         assert result.nodes > 1

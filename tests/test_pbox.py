@@ -399,6 +399,22 @@ class TestInvariantsAndSerialization:
         again = PboxInterval.from_dict(EX2.to_dict())
         assert again == EX2
 
+    def test_domain_json_is_dominance_repaired(self):
+        # The lower line reaches 0.9 at q 10, above the upper line's 0.5:
+        # the high quantile is cut to where the lines cross, q 2.
+        crossing = {"lo": {"q": 0.0, "f": 0.0, "s": 0.05}, "hi": {"q": 10.0, "f": 0.9, "s": 0.1}}
+        repaired = PboxInterval.from_dict(crossing)
+        assert check_dominance(repaired)
+        assert repaired.lo == CdfPoint(0.0, 0.0, 0.05)
+        assert repaired.hi.q == pytest.approx(2.0)
+        assert repaired.hi.f == pytest.approx(0.1)
+
+    def test_domain_json_admitting_no_cdf_is_rejected(self):
+        # Flat upper line at 0.1 below a flat lower line at 0.9.
+        flat = {"lo": {"q": 0.0, "f": 0.1, "s": 0.0}, "hi": {"q": 10.0, "f": 0.9, "s": 0.0}}
+        with pytest.raises(ValueError, match="domain admits no cdf"):
+            PboxInterval.from_dict(flat)
+
     @given(
         st.floats(-1e6, 1e6),
         st.floats(0.0, 1.0),
