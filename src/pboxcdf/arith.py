@@ -4,9 +4,8 @@ Arithmetic moves quantile bounds exactly as real interval arithmetic does.
 The bound formulas work on float endpoints: the engine's propagators call
 them on the real line and project onto the cdf domain once per fixpoint.
 ``slide`` is that projection for one domain and one target range: it slides
-each bound point along its own cdf line onto the new quantile range; model
-building slides its stock levels onto the non-negatives.  Sums and
-differences need no helper: the engine and ``inventory.combine_bindings``
+each bound point along its own cdf line onto the new quantile range.  Sums
+and differences need no helper: the engine and ``inventory.combine_bindings``
 add endpoints inline.
 """
 

@@ -7,11 +7,14 @@ is queued, each variable whose bounds moved has its two cdf points slid
 along their own lines onto the new bounds and dominance-repaired.  ``eq`` and
 ``leq`` exchange cdf lines, so they read projected domains.
 
-Constraints register watch lists on their variables and wait in one FIFO
-wake queue.  A propagator re-enters the queue only when one of its variables
-moved by more than the fixed absolute ``TOLERANCE`` in any scalar component,
-so runs terminate at a stable fixpoint.  One n-ary ``add`` also runs ``sub``;
-``mul`` runs ``div``.
+Variables take :class:`PboxInterval` domains; :func:`parse_model` turns a
+model file's ranges and values into domains.  Constraints register watch
+lists on their variables and wait in one FIFO wake queue, which the fixpoint
+drains in one loop.  A propagator re-enters the queue only when one of its
+variables moved by more than the fixed absolute ``TOLERANCE`` in any scalar
+component, so runs terminate at a stable fixpoint.  One n-ary ``add`` also
+runs ``sub``; ``mul`` runs ``div``, which waits aside while its divisor
+straddles zero and raises if it still does at the fixpoint.
 """
 
 from __future__ import annotations
@@ -68,18 +71,6 @@ def _level(p: CdfPoint, q: float) -> float:
     return min(max(p.f + p.s * (q - p.q), 0.0), 1.0)
 
 
-def coerce_domain(initial) -> PboxInterval:
-    """Accept a PboxInterval, a (lo, hi) quantile range (convex embedding) or
-    a scalar (point mass)."""
-    if isinstance(initial, PboxInterval):
-        return initial
-    if isinstance(initial, (int, float)):
-        return point_mass(float(initial))
-    if isinstance(initial, (tuple, list)) and len(initial) == 2:
-        return convex_interval(float(initial[0]), float(initial[1]))
-    raise ValueError(f"cannot interpret {initial!r} as a variable domain")
-
-
 class DomainStore:
     """Solver state: domains, constraints, watch lists and the wake queue.
 
@@ -114,8 +105,8 @@ class DomainStore:
 
     # -- construction ------------------------------------------------------
 
-    def new_var(self, initial, name: str | None = None) -> int:
-        domain = coerce_domain(initial)
+    def new_var(self, domain: PboxInterval, name: str | None = None) -> int:
+        """Add a variable over ``domain``; returns its id."""
         if self._shared_topology:
             self._unshare()
         vid = len(self.domains)
@@ -224,7 +215,7 @@ class DomainStore:
             self._hi[vid] = new.hi.q
         self._wake(vid)
 
-    def tighten(self, vid: int, narrower) -> str:
+    def tighten(self, vid: int, narrower: PboxInterval) -> str:
         """Meet a variable's domain with a narrower one, counting a write and
         queueing its watchers if it moved; an empty meet fails the store.
         Model building never calls it: ``inventory.build_model`` meets its
@@ -232,7 +223,7 @@ class DomainStore:
         if self.status == FAILED:
             return FAILED
         try:
-            self._update(vid, meet(self.domains[vid], coerce_domain(narrower)))
+            self._update(vid, meet(self.domains[vid], narrower))
         except Inconsistent:
             self.fail()
         return self.status
@@ -246,11 +237,12 @@ class DomainStore:
         cuts a bound wakes the variable's watchers and propagation goes on.
 
         A propagator that raises :class:`DivisorStraddlesZero` has changed
-        nothing; it is set aside, and a change to one of its variables wakes
-        it as usual.  Once the queue is empty the set-aside constraints run
-        again, and if a round of them changes no domain the first one is put
-        back at the head of the queue and its error is raised, so a model
-        errors only if a divisor still contains zero at the fixpoint,
+        nothing; it is set aside, a change to one of its variables wakes it
+        as usual, and a run that does not raise takes it off.  When no
+        propagator is queued and every moved variable is projected, the
+        constraints still set aside go back to the head of the queue in the
+        order they were set aside, and the first one's error is raised: a
+        model errors only if a divisor still contains zero at the fixpoint,
         whatever the order of its constraints.  An overflow ``ValueError``
         puts the interrupted constraint back at the head of the queue and is
         re-raised.  Either way the store never reports a fixpoint it has not
@@ -282,42 +274,39 @@ class DomainStore:
     def _fixpoint(self) -> str:
         queue, queued = self._queue, self._queued
         constraints, stats, moved = self.constraints, self.stats, self._moved
+        # The constraints whose divisor straddled zero at their last run, in
+        # the order they were set aside; a run that does not raise takes its
+        # constraint off.  Bounds narrow, so a divisor clear of zero stays
+        # clear, and nothing needs to run again at the fixpoint.
         waiting: dict[int, DivisorStraddlesZero] = {}
-        writes = -1
         while True:
-            while True:
-                if queue:
-                    idx = queue.popleft()
-                elif moved:
-                    self._project(moved.pop())
-                    continue
-                else:
-                    break
-                queued[idx] = False
-                stats["wakes"] += 1
-                c = constraints[idx]
-                try:
-                    _KINDS[c.kind][1](self, *c.args)
-                except DivisorStraddlesZero as exc:
-                    waiting[idx] = exc
-                except ValueError:
-                    queued[idx] = True
-                    queue.appendleft(idx)
-                    for other in waiting:
-                        self._enqueue(other)
-                    raise
-            if not waiting:
-                return CONSISTENT
-            if stats["prunes"] == writes:
-                # The set-aside constraints ran again on unchanged domains.
+            if queue:
+                idx = queue.popleft()
+            elif moved:
+                self._project(moved.pop())
+                continue
+            elif waiting:
                 for other in reversed(waiting):
                     queued[other] = True
                     queue.appendleft(other)
                 raise next(iter(waiting.values()))
-            writes = stats["prunes"]
-            for other in waiting:
-                self._enqueue(other)
-            waiting.clear()
+            else:
+                return CONSISTENT
+            queued[idx] = False
+            stats["wakes"] += 1
+            c = constraints[idx]
+            try:
+                _KINDS[c.kind][1](self, *c.args)
+            except DivisorStraddlesZero as exc:
+                waiting[idx] = exc
+            except ValueError:
+                queued[idx] = True
+                queue.appendleft(idx)
+                for other in waiting:
+                    self._enqueue(other)
+                raise
+            else:
+                waiting.pop(idx, None)
 
     def _project(self, vid: int) -> PboxInterval:
         # Re-anchors vid's cdf points onto its bounds and repairs dominance

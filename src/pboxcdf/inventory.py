@@ -28,15 +28,17 @@ from .pbox import (
     convex_interval,
     empirical_cdf,
     envelope,
+    intersect_quantiles,
     is_vacuous,
     json_number,
     load_observations_csv,
     meet,
     point_mass,
     project,
+    reanchor,
     repair_dominance,
 )
-from .arith import QuantileInterval, mul_bounds, slide
+from .arith import mul_bounds
 from .engine import FAILED, Constraint, DomainStore
 
 MODES = ("pbox", "convex")
@@ -488,14 +490,14 @@ def build_model(
             x_t = point_mass(order_sizes[t])
         else:
             x_t = inputs.order_range
-        # stock balance: stock_t = stock_{t-1} + order_t - demand_t, >= 0
+        # stock_t = stock_{t-1} + order_t - demand_t, floored at 0: stock that
+        # rounds to a hair below zero counts as empty.
         b_t = combine_bindings("add", prev_stock, x_t)
-        # Stock that rounds to a hair below zero still counts as empty.
         i_t = combine_bindings("sub", b_t, d_t)
         if i_t.hi.q < -TOLERANCE:
             return _failed()
         if i_t.lo.q < 0.0:
-            i_t = slide(i_t, QuantileInterval(0.0, max(i_t.hi.q, 0.0)))
+            i_t = reanchor(i_t, *intersect_quantiles(i_t.lo.q, i_t.hi.q, 0.0, max(i_t.hi.q, 0.0)))
         domains += (d_t, x_t, b_t, i_t)
         orders.append(x_t)
         stocks.append(i_t)
@@ -742,18 +744,15 @@ class _Searcher:
     """Depth-first branch and bound over the replenishment flags.
 
     Cycles are decided left to right, in one loop over an explicit stack
-    (:meth:`run`).  At each visited partial schedule the search computes
-    both children's lot-sizing bounds (:meth:`_node_bound`, a lower bound
-    on the resolved cost of every completion) and visits the smaller first,
-    the no-order child on ties.  Each child's bound reads its served state,
-    its parent's extended by one cycle (:meth:`_served`), so no bound
-    re-serves the decided cycles, and the child is pushed with that state,
-    so no node is served twice.  A child is skipped once its bound is
-    infinite (no completion can cover worst-case demand) or exceeds the
-    least leaf cost.  ``nodes`` counts the bounds computed, the root's
-    included.  The walk is arithmetic: a leaf is scored on its resolved
-    cost computed from its served state (:meth:`_leaf_cost`), and only
-    :meth:`result` builds networks, for the near-ties of the least cost.
+    (:meth:`run`).  A node is its served state (:meth:`_served`), its
+    parent's extended by one cycle.  At each visited node the search
+    computes both children's lot-sizing bounds (:meth:`_node_bound`, a lower
+    bound on the resolved cost of every completion) and visits the smaller
+    first, the no-order child on ties; a child is skipped once its bound is
+    infinite or exceeds the least leaf cost.  ``nodes`` counts the bounds
+    computed, the root's included.  The walk is arithmetic: a leaf is scored
+    on its resolved cost computed from its served state (:meth:`_leaf_cost`),
+    and only :meth:`result` builds networks, for the near-ties.
     """
 
     def __init__(self, inputs: ModelInputs):
@@ -789,10 +788,10 @@ class _Searcher:
         # The served state of the empty schedule (see _served).
         self._root = ((), [], inst.initial_stock, 0.0)
         self.nodes = 0
-        # The least leaf cost, and the near-ties: the (cost, schedule) of
+        # The least leaf cost, and the near-ties: the (cost, order points) of
         # every leaf within _margin of it, among which the winner lies.
         self.least = math.inf
-        self.ties: list[tuple[float, tuple[bool, ...]]] = []
+        self.ties: list[tuple[float, tuple[int, ...]]] = []
 
     def _open_cost_table(self) -> list[list[tuple[float, float]]]:
         # table[d]: (R, c) pairs over the order choices of the open cycles
@@ -839,26 +838,26 @@ class _Searcher:
         return table
 
     def run(self) -> None:
-        # Pops (bound, path, served state) entries.  A node is skipped once its
-        # bound exceeds the least cost, and so is its sibling below it, whose
-        # bound is no smaller while the least cost only falls.  Each child is
-        # served once, for its bound, and pushed with that state; the pair is
-        # pushed so that the smaller bound pops first, the no-order child on
-        # ties.
+        """Pops ``(bound, served state)`` entries; a state's spare list holds
+        one entry per decided cycle.  A node is skipped once its bound exceeds
+        the least cost, and so is its sibling below it, whose bound is no
+        smaller while the least cost only falls.  Each child is served once, for
+        its bound, and pushed with that state; the smaller bound pops first, the
+        no-order child's on ties."""
         self.nodes = 1
-        stack = [(self._node_bound((), self._root), (), self._root)]
+        stack = [(self._node_bound(self._root), self._root)]
         while stack:
-            bound, path, served = stack.pop()
+            bound, served = stack.pop()
             if bound == math.inf or bound > self.least + TOLERANCE:
                 continue
-            if len(path) == self.inst.horizon:
-                self._score(path, served)
+            if len(served[1]) == self.inst.horizon:
+                self._score(served)
                 continue
-            children = [((*path, flag), self._served(served, flag)) for flag in (False, True)]
-            bounds = [self._node_bound(*child) for child in children]
+            children = [self._served(served, flag) for flag in (False, True)]
+            bounds = [self._node_bound(child) for child in children]
             self.nodes += 2
             for flag in (True, False) if bounds[0] <= bounds[1] else (False, True):
-                stack.append((bounds[flag], *children[flag]))
+                stack.append((bounds[flag], children[flag]))
 
     def _leaf_cost(self, served) -> float:
         # The resolved tc.lo.q of a covered leaf, from its served state:
@@ -876,13 +875,13 @@ class _Searcher:
             bought += size
         return self.a_lo * len(points) + self.v_lo * bought + self.h_lo * held
 
-    def _score(self, schedule: tuple[bool, ...], served) -> None:
+    def _score(self, served) -> None:
         cost = self._leaf_cost(served)
         if cost < self.least:
             self.least = cost
             self.ties = [tie for tie in self.ties if tie[0] <= cost + self._margin]
         if cost <= self.least + self._margin:
-            self.ties.append((cost, schedule))
+            self.ties.append((cost, served[0]))
 
     def result(self, started: float) -> SearchResult:
         """The winner's report, whose counters are the search's: the near-ties
@@ -891,7 +890,9 @@ class _Searcher:
         that propagates, completes its report.  That network holds wherever
         the pinned one does: the covering sizes are one of its scenarios."""
         solved = {}
-        for _, schedule in self.ties:
+        for _, points in self.ties:
+            chosen = set(points)
+            schedule = tuple(t in chosen for t in range(self.inst.horizon))
             fields = _resolve(self.inputs, schedule)
             if fields is not None:
                 solved[schedule] = fields
@@ -925,20 +926,19 @@ class _Searcher:
             return None
         return points, spare, *served
 
-    def _node_bound(self, path: tuple[bool, ...], served) -> float:
-        # A lower bound on the resolved cost of every completion of ``path``,
-        # whose decided cycles are served as ``served`` (see _served); inf
-        # when none can be covered.  The spare capacity of the decided
-        # orders and the initial stock left over cap the R of the open
-        # cycles' table entries, and the latest decided order, at p (0
-        # without one), is the latest cycle that supply can come from.
+    def _node_bound(self, served) -> float:
+        """A lower bound on the resolved cost of every completion of the node
+        ``served`` (see :meth:`_served`); inf when it is None, as none can be
+        covered.  The decided orders' spare capacity and the initial stock left
+        cap the R of the open cycles' table entries, and supply comes from no
+        later cycle than the latest decided order, at p (0 without one)."""
         if served is None:
             return math.inf
         points, spare, stock, holding = served
         cap = sum(spare) + stock + self._cap_slack
         credit = self.h_lo * (points[-1] if points else 0)
         future = math.inf
-        for r, c in self._open_costs[len(path)]:
+        for r, c in self._open_costs[len(spare)]:
             if r > cap:
                 break
             if c - credit * r < future:

@@ -68,7 +68,7 @@ def test_criterion_2_ordering_reproduction():
     store = DomainStore()
     vi = store.new_var(PboxInterval(CdfPoint(10, 0.14, 0.016), CdfPoint(80, 0.49, 0.06)))
     vj = store.new_var(PboxInterval(CdfPoint(20, 0.06, 0.025), CdfPoint(90, 0.9, 0.014)))
-    x = store.new_var((10.0, 90.0))
+    x = store.new_var(convex_interval(10.0, 90.0))
     store.post(Constraint("leq", (vi, x)))
     store.post(Constraint("leq", (x, vj)))
     assert store.propagate() == CONSISTENT

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pboxcdf import engine
-from pboxcdf.arith import QuantileInterval, div_bounds, mul_bounds, slide
+from pboxcdf.arith import div_bounds, mul_bounds
 from pboxcdf.engine import (
     CONSISTENT,
     FAILED,
@@ -25,6 +25,7 @@ from pboxcdf.pbox import (
     intersect_quantiles,
     point_mass,
     project,
+    reanchor,
     repair_dominance,
 )
 
@@ -40,23 +41,11 @@ def _store_with(*domains):
 
 
 class TestNewVarAndPost:
-    def test_range_becomes_convex_embedding(self):
-        store = DomainStore()
-        v = store.new_var((0.0, 100.0))
-        assert store.domains[v] == convex_interval(0.0, 100.0)
-        assert store.domains[v].lo == CdfPoint(0.0, 1.0, 0.0)
-        assert store.domains[v].hi == CdfPoint(100.0, 0.0, 0.0)
-
     def test_explicit_domain_kept_exactly(self):
         store = DomainStore()
         ex2 = PboxInterval(CdfPoint(5.17, 0.1, 1.2), CdfPoint(6.36, 0.7, 0.57))
         v = store.new_var(ex2)
         assert store.domains[v] is ex2
-
-    def test_scalar_becomes_point_mass(self):
-        store = DomainStore()
-        v = store.new_var(5)
-        assert store.domains[v] == point_mass(5.0)
 
     def test_unknown_kind_and_arity_rejected(self):
         with pytest.raises(ValueError):
@@ -94,7 +83,7 @@ class TestOrdering:
         store = DomainStore()
         vi = store.new_var(EX3_I)
         vj = store.new_var(EX3_J)
-        x = store.new_var((10.0, 90.0))
+        x = store.new_var(convex_interval(10.0, 90.0))
         store.post(Constraint("leq", (vi, x)))
         store.post(Constraint("leq", (x, vj)))
         assert store.propagate() == CONSISTENT
@@ -118,7 +107,7 @@ class TestOrdering:
         store = DomainStore()
         vi = store.new_var(EX3_I)
         vj = store.new_var(EX3_J)
-        y = store.new_var((10.0, 90.0))
+        y = store.new_var(convex_interval(10.0, 90.0))
         store.post(Constraint("leq", (y, vi)))
         store.post(Constraint("leq", (vj, y)))
         assert store.propagate() == CONSISTENT
@@ -161,6 +150,49 @@ def _three_step_div(store, x, y, z):
         store.stats["skipped_div_projections"] += 1
     else:
         store._narrow(y, *div_bounds(los[x], his[x], los[z], his[z]))
+
+
+def _round_fixpoint(store):
+    """The former ``DomainStore._fixpoint``, kept as a reference: constraints
+    whose divisor straddled zero stay set aside until the queue drains, then
+    all run again, round after round, until a round changes no domain."""
+    queue, queued = store._queue, store._queued
+    constraints, stats, moved = store.constraints, store.stats, store._moved
+    waiting = {}
+    writes = -1
+    while True:
+        while True:
+            if queue:
+                idx = queue.popleft()
+            elif moved:
+                store._project(moved.pop())
+                continue
+            else:
+                break
+            queued[idx] = False
+            stats["wakes"] += 1
+            c = constraints[idx]
+            try:
+                engine._KINDS[c.kind][1](store, *c.args)
+            except DivisorStraddlesZero as exc:
+                waiting[idx] = exc
+            except ValueError:
+                queued[idx] = True
+                queue.appendleft(idx)
+                for other in waiting:
+                    store._enqueue(other)
+                raise
+        if not waiting:
+            return CONSISTENT
+        if stats["prunes"] == writes:
+            for other in reversed(waiting):
+                queued[other] = True
+                queue.appendleft(other)
+            raise next(iter(waiting.values()))
+        writes = stats["prunes"]
+        for other in waiting:
+            store._enqueue(other)
+        waiting.clear()
 
 
 _FORWARD = {"add": add_bounds, "sub": sub_bounds, "mul": mul_bounds, "div": div_bounds}
@@ -213,7 +245,7 @@ class TestTernary:
         store = DomainStore()
         x = store.new_var(EX3_I)
         y = store.new_var(EX3_J)
-        z = store.new_var((30.0, 170.0))
+        z = store.new_var(convex_interval(30.0, 170.0))
         store.post(Constraint("add", (x, y, z)))
         assert store.propagate() == CONSISTENT
         assert store.domains[x] == EX3_I
@@ -297,6 +329,67 @@ class TestTernary:
                 store.propagate()
             assert store.status == CONSISTENT
 
+    def test_one_loop_fixpoint_matches_round_reference(self):
+        # A larger sweep runs in CI: fixpoint_sweep(1, 20_000).
+        seen = fixpoint_sweep(20260810, 1500)
+        assert min(seen[CONSISTENT], seen[FAILED], seen["DivisorStraddlesZero"]) > 100, seen
+        assert seen["fewer_wakes"] > 100, seen
+
+    def _logged(self, monkeypatch):
+        # Logs each propagator run by kind.
+        runs = []
+        for kind in ("div", "eq", "leq"):
+            arity, prop = engine._KINDS[kind]
+
+            def logged(store, *args, kind=kind, prop=prop):
+                runs.append(kind)
+                prop(store, *args)
+
+            monkeypatch.setitem(engine._KINDS, kind, (arity, logged))
+        return runs
+
+    def test_cleared_divisor_is_not_run_again_at_the_fixpoint(self, monkeypatch):
+        # div raises on its straddling divisor, eq clears it, and div runs
+        # clean; nothing runs once the queue drains, so the wakes are the
+        # runs of the two constraints and no more.
+        runs = self._logged(monkeypatch)
+        store, (x, y, z, w) = _store_with(
+            convex_interval(1.0, 2.0),
+            convex_interval(-1.0, 1.0),
+            convex_interval(-10.0, 10.0),
+            convex_interval(0.5, 1.0),
+        )
+        store.post(Constraint("div", (x, y, z)))
+        store.post(Constraint("eq", (y, w)))
+        assert store.propagate() == CONSISTENT
+        assert runs == ["div", "eq", "div", "eq", "div"]
+        assert store.stats["wakes"] == len(runs)
+        assert store.domains[z] == convex_interval(1.0, 4.0)
+
+    def test_straddling_divisors_are_queued_in_first_straddle_order(self, monkeypatch):
+        # Both divs straddle; leq then narrows the first one's divisor, still
+        # across zero, and it raises again.  At the fixpoint both go back to
+        # the head of the queue in the order they first straddled, and the
+        # first one's latest error is raised, with no round run again.
+        runs = self._logged(monkeypatch)
+        store, (x, y1, z1, y2, z2, u) = _store_with(
+            convex_interval(1.0, 2.0),
+            convex_interval(-1.0, 1.0),
+            convex_interval(-10.0, 10.0),
+            convex_interval(-2.0, 2.0),
+            convex_interval(-10.0, 10.0),
+            convex_interval(-5.0, 0.5),
+        )
+        store.post(Constraint("div", (x, y1, z1)))
+        store.post(Constraint("div", (x, y2, z2)))
+        store.post(Constraint("leq", (y1, u)))
+        with pytest.raises(DivisorStraddlesZero, match=r"\[-1\.0, 0\.5\]"):
+            store.propagate()
+        assert runs == ["div", "div", "leq", "div", "leq"]
+        assert store.stats["wakes"] == len(runs)
+        assert list(store._queue) == [0, 1]
+        assert store.status == CONSISTENT
+
     def test_div_projections(self):
         store, (x, y, z) = _store_with(
             convex_interval(4.0, 8.0), convex_interval(2.0, 4.0), convex_interval(0.0, 100.0)
@@ -340,6 +433,49 @@ class TestTernary:
                         assert abs(va - vb) <= TOLERANCE
         assert min(outcomes[CONSISTENT], outcomes[FAILED], outcomes["raised"]) > 100, outcomes
         assert outcomes["exact"] >= 0.99 * outcomes[CONSISTENT], outcomes
+
+
+def _run_fixpoint(domains, posted, fixpoint):
+    """Status (or the error raised, with its message), domain bits, counters
+    and queue of ``posted`` over ``domains``, propagated with ``fixpoint``."""
+    kept = DomainStore._fixpoint
+    DomainStore._fixpoint = fixpoint
+    try:
+        store, _ = _store_with(*domains)
+        for c in posted:
+            store.post(c)
+        try:
+            status = store.propagate()
+        except (DivisorStraddlesZero, ValueError) as exc:
+            status = (type(exc), str(exc))
+    finally:
+        DomainStore._fixpoint = kept
+    return status, _bits(store.domains), store.stats, list(store._queue)
+
+
+def fixpoint_sweep(seed, nets):
+    """Checks the one-loop fixpoint against :func:`_round_fixpoint` on
+    ``nets`` seeded :func:`_div_network` nets: both must reach the same
+    status (or raise the same error, message included), bit-equal domains
+    and equal prunes, and the one loop may wake no more often.  A net that
+    raises ``DivisorStraddlesZero`` must leave the same queue.  Returns how
+    often each outcome came up, and on how many nets the one loop woke less
+    often."""
+    rng = random.Random(seed)
+    seen = {"fewer_wakes": 0}
+    for _ in range(nets):
+        domains, posted = _div_network(rng)
+        new = _run_fixpoint(domains, posted, DomainStore._fixpoint)
+        old = _run_fixpoint(domains, posted, _round_fixpoint)
+        assert new[:2] == old[:2], (domains, posted)
+        assert new[2]["prunes"] == old[2]["prunes"], (domains, posted)
+        assert new[2]["wakes"] <= old[2]["wakes"], (domains, posted)
+        kind = new[0] if isinstance(new[0], str) else new[0][0].__name__
+        if kind == "DivisorStraddlesZero":
+            assert new[3] == old[3], (domains, posted)
+        seen[kind] = seen.get(kind, 0) + 1
+        seen["fewer_wakes"] += new[2]["wakes"] < old[2]["wakes"]
+    return seen
 
 
 def _full_pass_add(store, *args):
@@ -479,17 +615,17 @@ class TestLinearSum:
             pad = 0.2 * (hi - lo) + 1.0
             cut = sorted(rng.uniform(lo - pad, hi + pad) for _ in range(2))
             z_lo, z_hi = lo, hi
-            nary, nary_ids = _store_with(*terms, (-1e4, 1e4))
+            nary, nary_ids = _store_with(*terms, convex_interval(-1e4, 1e4))
             nary.post(Constraint("add", tuple(nary_ids)))
-            chain, chain_ids = _store_with(*terms, (-1e4, 1e4))
+            chain, chain_ids = _store_with(*terms, convex_interval(-1e4, 1e4))
             acc = chain_ids[0]
             for k in range(1, n):
-                out = chain_ids[n] if k == n - 1 else chain.new_var((-1e4, 1e4))
+                out = chain_ids[n] if k == n - 1 else chain.new_var(convex_interval(-1e4, 1e4))
                 chain.post(Constraint("add", (acc, chain_ids[k], out)))
                 acc = out
             if rng.random() < 0.7:
-                nary.tighten(nary_ids[n], tuple(cut))
-                chain.tighten(chain_ids[n], tuple(cut))
+                nary.tighten(nary_ids[n], convex_interval(*cut))
+                chain.tighten(chain_ids[n], convex_interval(*cut))
                 z_lo, z_hi = max(lo, cut[0]), min(hi, cut[1])
             status = nary.propagate()
             assert chain.propagate() == status
@@ -541,8 +677,8 @@ class TestLinearSum:
         # constraint once.
         store = DomainStore()
         terms = [store.new_var(random_envelope(rng)) for _ in range(12)]
-        mid = store.new_var((-1e4, 1e4))
-        total = store.new_var((-1e4, 1e4))
+        mid = store.new_var(convex_interval(-1e4, 1e4))
+        total = store.new_var(convex_interval(-1e4, 1e4))
         posted = [
             Constraint("add", (*terms[:6], mid)),
             Constraint("add", (mid, *terms[6:], total)),
@@ -564,9 +700,9 @@ class TestLinearSum:
         # posted first, and each link's move wakes the sum.  The links reach
         # the chain's bounds and the sum's total keeps its range.
         store = DomainStore()
-        a = store.new_var((1.0, 2.0))
-        links = [store.new_var((-1e4, 1e4)) for _ in range(4)]
-        total = store.new_var((22.0, 24.0))
+        a = store.new_var(convex_interval(1.0, 2.0))
+        links = [store.new_var(convex_interval(-1e4, 1e4)) for _ in range(4)]
+        total = store.new_var(convex_interval(22.0, 24.0))
         store.post(Constraint("add", (*links, total)))
         prev = a
         for link in links:
@@ -574,7 +710,7 @@ class TestLinearSum:
             prev = link
         assert store.propagate() == CONSISTENT
         assert [store.domains[v].hi.q for v in links] == [4.0, 6.0, 8.0, 10.0]
-        store.tighten(a, (1.5, 2.0))
+        store.tighten(a, convex_interval(1.5, 2.0))
         assert store.propagate() == CONSISTENT
         assert [store.domains[v].lo.q for v in links] == [3.0, 4.5, 6.0, 7.5]
         assert store.domains[total] == convex_interval(22.0, 24.0)
@@ -608,7 +744,7 @@ def _projection_bits(fn, *args):
 
 class TestFlatProjection:
     def test_projection_and_stock_floor_match_anchor_and_repair(self):
-        # On flat lines, _project and the stock floor's slide equal
+        # On flat lines, _project and build_model's stock floor equal
         # re-anchoring both points and repairing dominance, bit for bit, or
         # raise the same error: a level conflict, or a move that overflows.
         rng = random.Random(26)
@@ -625,12 +761,11 @@ class TestFlatProjection:
             assert got == _projection_bits(_reanchored, d, lo, hi), (d, lo, hi)
             seen.add(got if isinstance(got, type) else "projected")
             if d.lo.q < 0.0:
-                # build_model's stock floor.
-                floor = QuantileInterval(0.0, max(d.hi.q, 0.0))
-                want = _projection_bits(
-                    lambda: _reanchored(d, *intersect_quantiles(d.lo.q, d.hi.q, 0.0, floor.hi))
-                )
-                assert _projection_bits(slide, d, floor) == want, d
+
+                def floor(onto):
+                    return onto(d, *intersect_quantiles(d.lo.q, d.hi.q, 0.0, max(d.hi.q, 0.0)))
+
+                assert _projection_bits(floor, reanchor) == _projection_bits(floor, _reanchored), d
         assert seen == {"projected", Inconsistent, ValueError}
 
 
@@ -783,7 +918,7 @@ class TestCloneAndTighten:
         store.post(Constraint("leq", (x, y)))
         store.propagate()
         twin = store.clone()
-        twin.tighten(x, (5.0, 10.0))
+        twin.tighten(x, convex_interval(5.0, 10.0))
         twin.propagate()
         assert store.domains[x].lo.q == 0.0
         assert twin.domains[x].lo.q == 5.0
@@ -821,7 +956,7 @@ class TestCloneAndTighten:
 
     def test_tighten_to_infeasible_fails_store(self):
         store, (x,) = _store_with(convex_interval(0, 10))
-        assert store.tighten(x, (20.0, 30.0)) == FAILED
+        assert store.tighten(x, convex_interval(20.0, 30.0)) == FAILED
         assert store.status == FAILED
 
 

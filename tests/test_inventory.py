@@ -642,10 +642,10 @@ class TestBuildModel:
         watchers = [list(w) for w in first._watchers]
         twin = first.clone()
         first.post(Constraint("add", (mv.holding, mv.tc, mv.tc)))
-        extra = twin.new_var(1.0, name="extra")
+        extra = twin.new_var(point_mass(1.0), name="extra")
         twin.post(Constraint("add", (mv.order[0], extra, mv.tc)))
         grown, grown_mv = build_model(inputs, schedule)
-        build_model(inputs, schedule)[0].clone().new_var(2.0, name="other")
+        build_model(inputs, schedule)[0].clone().new_var(point_mass(2.0), name="other")
         for store in (grown, build_model(inputs, schedule)[0]):
             assert store.names == names
             assert store.constraints == constraints
@@ -884,7 +884,7 @@ def _prefix_bounds(inst, mode="pbox"):
     for depth in range(inst.horizon - 1, -1, -1):
         for flags in product((False, True), repeat=depth):
             best[flags] = min(best[flags + (False,)], best[flags + (True,)])
-    bounds = {path: (searcher._node_bound(list(path), served[path]), b) for path, b in best.items()}
+    bounds = {path: (searcher._node_bound(served[path]), b) for path, b in best.items()}
     return bounds, winner
 
 
@@ -1117,20 +1117,27 @@ class TestSearch:
     def test_nodes_count_the_bounds_computed(self, monkeypatch, seed):
         # The search walks the tree once: every node's bound is computed
         # once and counted, every node but the root is served once, and
-        # every leaf is re-solved at most once.
+        # every leaf is re-solved at most once.  A node is named by its depth
+        # and order points, taken from its parent's state when it is served,
+        # since an uncovered child's state is None; the search bounds its
+        # children in the order it serves them.
         bounds, resolved = [], []
         served_calls = 0
+        named = [(0, ())]
         real_bound = inventory._Searcher._node_bound
         real_served = inventory._Searcher._served
         real_resolve = inventory._resolve
 
-        def counting_bound(self, path, served):
-            bounds.append(tuple(path))
-            return real_bound(self, path, served)
+        def counting_bound(self, served):
+            bounds.append(named.pop(0))
+            return real_bound(self, served)
 
         def counting_served(self, served, flag):
             nonlocal served_calls
             served_calls += 1
+            points, spare = served[0], served[1]
+            t = len(spare)
+            named.append((t + 1, (*points, t) if flag else points))
             return real_served(self, served, flag)
 
         def counting_resolve(inputs, schedule):
