@@ -1,12 +1,11 @@
-"""Interval arithmetic on quantile ranges, plus the cdf-domain projection.
+"""Interval arithmetic on quantile ranges.
 
 Arithmetic moves quantile bounds exactly as real interval arithmetic does.
 The bound formulas work on float endpoints: the engine's propagators call
-them on the real line and project onto the cdf domain once per fixpoint.
-``slide`` is that projection for one domain and one target range: it slides
-each bound point along its own cdf line onto the new quantile range.  Sums
-and differences need no helper: the engine and ``inventory.combine_bindings``
-add endpoints inline.
+them on the real line and project onto the cdf domain once per fixpoint,
+by ``pbox.reanchor``.  ``slide`` narrows one domain to a target range and
+places it by that same step.  Sums and differences need no helper: the
+engine and ``inventory.combine_bindings`` add endpoints inline.
 """
 
 from __future__ import annotations
@@ -55,4 +54,4 @@ def slide(interval: PboxInterval, target: QuantileInterval) -> PboxInterval:
     lo_q, hi_q = intersect_quantiles(interval.lo.q, interval.hi.q, target.lo, target.hi)
     if lo_q == interval.lo.q and hi_q == interval.hi.q:
         return interval
-    return reanchor(interval, lo_q, hi_q)
+    return reanchor(interval.lo, interval.hi, lo_q, hi_q)

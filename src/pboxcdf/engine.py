@@ -29,13 +29,11 @@ from .pbox import (
     DivisorStraddlesZero,
     Inconsistent,
     PboxInterval,
-    anchor,
     convex_interval,
     json_number,
     meet,
     point_mass,
     reanchor,
-    repair_dominance,
     tighter_lower,
     tighter_upper,
 )
@@ -217,9 +215,7 @@ class DomainStore:
 
     def tighten(self, vid: int, narrower: PboxInterval) -> str:
         """Meet a variable's domain with a narrower one, counting a write and
-        queueing its watchers if it moved; an empty meet fails the store.
-        Model building never calls it: ``inventory.build_model`` meets its
-        orders floor into the bindings before the fork."""
+        queueing its watchers if it moved; an empty meet fails the store."""
         if self.status == FAILED:
             return FAILED
         try:
@@ -309,11 +305,12 @@ class DomainStore:
                 waiting.pop(idx, None)
 
     def _project(self, vid: int) -> PboxInterval:
-        # Re-anchors vid's cdf points onto its bounds and repairs dominance
-        # (pbox.reanchor): flat lines whose levels do not conflict, as in
-        # every domain of the convex model, only move their quantiles.
+        # Places vid's cdf points onto its bounds (pbox.reanchor): flat lines
+        # whose levels do not conflict, as in every domain of the convex
+        # model, only move their quantiles.
         lo, hi = self._lo[vid], self._hi[vid]
-        d = self.domains[vid] = reanchor(self.domains[vid], lo, hi)
+        old = self.domains[vid]
+        d = self.domains[vid] = reanchor(old.lo, old.hi, lo, hi)
         if d.lo.q != lo or d.hi.q != hi:
             self._lo[vid] = d.lo.q
             self._hi[vid] = d.hi.q
@@ -392,7 +389,7 @@ class DomainStore:
             x_hi_q = dx.lo.q
         mid_x = 0.5 * (dx.lo.q + x_hi_q)
         low_x = tighter_lower(dx.hi, dy.hi, mid_x)
-        self._update(x, repair_dominance(PboxInterval(dx.lo, anchor(low_x, x_hi_q))))
+        self._update(x, reanchor(dx.lo, low_x, dx.lo.q, x_hi_q))
 
         dx = self.domains[x]
         y_lo_q = max(dy.lo.q, dx.lo.q)
@@ -402,7 +399,7 @@ class DomainStore:
             y_lo_q = dy.hi.q
         mid_y = 0.5 * (y_lo_q + dy.hi.q)
         up_y = tighter_upper(dy.lo, dx.lo, mid_y)
-        self._update(y, repair_dominance(PboxInterval(anchor(up_y, y_lo_q), dy.hi)))
+        self._update(y, reanchor(up_y, dy.hi, y_lo_q, dy.hi.q))
 
     # The arithmetic propagators project x op y = z onto each variable in
     # turn, always reading the bounds left by the previous projection.

@@ -443,35 +443,16 @@ def _sum_binding(bindings: list[PboxInterval]) -> PboxInterval:
     return total
 
 
-def _failed() -> tuple[DomainStore, ModelVars]:
-    # The network of a schedule whose bindings already rule it out.
-    store = DomainStore()
-    store.fail()
-    return store, ModelVars()
-
-
-def build_model(
-    inputs: ModelInputs, schedule, order_sizes=None
-) -> tuple[DomainStore, ModelVars]:
-    """Constraint network for one decided schedule.
+def _bindings(inputs: ModelInputs, schedule, order_sizes=None) -> list[PboxInterval] | None:
+    """The initial bindings of one decided schedule's network, one per
+    variable of its horizon's topology (see :func:`_network`) in id order;
+    None when they already rule the schedule out.
 
     ``schedule`` holds one flag per cycle: a true flag forces an order in
-    [x_min, x_max], a false one forces none.  With ``order_sizes`` the order
-    variables are pinned to those quantities instead.  Flow balance,
-    non-negative stock and the cost sum are posted.  Holding and purchase
-    are each one product over a total, ``h * sum(stock_t)`` and
-    ``v * sum(order_t)``: costs, stock and orders are non-negative, and over
-    non-negative intervals multiplication distributes over addition
-    exactly, so the per-cycle products would add no bound.  The ordering
-    cost is one constant, the per-order cost summed over the orders placed;
-    no constraint narrows it.  A floor on the total orders, set in their
-    binding, prices purchase into the total cost's lower bound once the
-    network propagates.
-
-    Every network of a horizon is filled into its one topology (see
-    :func:`_network`): this computes the initial bindings in its variable
-    order and forks a store over them, which it does not edit.  A schedule
-    that its bindings already rule out gets an empty failed store.
+    [x_min, x_max], a false one forces none.  With ``order_sizes`` the orders
+    are pinned to those quantities instead.  Stock is floored at 0.  A floor
+    on the total orders, set in their binding, prices purchase into the
+    total cost's lower bound once the network propagates.
     """
     inst, cost = inputs.inst, inputs.ordering_cost
     if len(schedule) != inst.horizon:
@@ -495,9 +476,10 @@ def build_model(
         b_t = combine_bindings("add", prev_stock, x_t)
         i_t = combine_bindings("sub", b_t, d_t)
         if i_t.hi.q < -TOLERANCE:
-            return _failed()
+            return None
         if i_t.lo.q < 0.0:
-            i_t = reanchor(i_t, *intersect_quantiles(i_t.lo.q, i_t.hi.q, 0.0, max(i_t.hi.q, 0.0)))
+            floor = intersect_quantiles(i_t.lo.q, i_t.hi.q, 0.0, max(i_t.hi.q, 0.0))
+            i_t = reanchor(i_t.lo, i_t.hi, *floor)
         domains += (d_t, x_t, b_t, i_t)
         orders.append(x_t)
         stocks.append(i_t)
@@ -516,19 +498,44 @@ def build_model(
     worst_total = sum(inputs.worst) - inst.initial_stock
     hi = total_orders.hi.q
     if worst_total > hi + TOLERANCE:
-        return _failed()
+        return None
     placed = sum(map(bool, schedule))
     ordering = _sum_binding([cost] * placed) if placed else _ZERO
     domains += (ordering, holding, purchase, _sum_binding([ordering, holding, purchase]))
 
-    network, mv = _network(inst.horizon)
     if worst_total > total_orders.lo.q:
         try:
-            domains[mv.total_orders] = meet(
+            domains[_network(inst.horizon)[1].total_orders] = meet(
                 total_orders, convex_interval(min(worst_total, hi), hi)
             )
         except Inconsistent:
-            return _failed()
+            return None
+    return domains
+
+
+def build_model(inputs: ModelInputs, schedule) -> tuple[DomainStore, ModelVars]:
+    """Constraint network for one decided schedule, its orders ranging over
+    [x_min, x_max] (see :func:`_bindings`).
+
+    Flow balance, non-negative stock and the cost sum are posted.  Holding
+    and purchase are each one product over a total, ``h * sum(stock_t)`` and
+    ``v * sum(order_t)``: costs, stock and orders are non-negative, and over
+    non-negative intervals multiplication distributes over addition exactly,
+    so the per-cycle products would add no bound.  The ordering cost is one
+    constant, the per-order cost summed over the orders placed; no
+    constraint narrows it.
+
+    Every network of a horizon is filled into its one topology (see
+    :func:`_network`): this forks a store over the schedule's bindings,
+    which it does not edit.  A schedule that its bindings already rule out
+    gets an empty failed store.
+    """
+    domains = _bindings(inputs, schedule)
+    if domains is None:
+        store = DomainStore()
+        store.fail()
+        return store, ModelVars()
+    network, mv = _network(inputs.inst.horizon)
     return network.fork(domains), mv
 
 
@@ -659,16 +666,17 @@ def robust_order_sizes(inputs: ModelInputs, schedule) -> list[float] | None:
 
 def _resolve(inputs: ModelInputs, schedule) -> dict | None:
     """The report fields of a decided schedule with its orders pinned to the
-    cheapest covering sizes, read off its network's bindings (its floors cut
-    nothing once the sizes cover, so propagation would change no domain);
-    None when the caps cannot cover worst-case demand or the bindings fail."""
+    cheapest covering sizes, read off its bindings by its topology's ids (its
+    floors cut nothing once the sizes cover, so propagation would change no
+    domain, and no store is built); None when the caps cannot cover
+    worst-case demand or the bindings fail."""
     sizes = robust_order_sizes(inputs, schedule)
     if sizes is None:
         return None
-    store, mv = build_model(inputs, schedule, order_sizes=sizes)
-    if store.status == FAILED:
+    d = _bindings(inputs, schedule, sizes)
+    if d is None:
         return None
-    d = store.domains
+    mv = _network(inputs.inst.horizon)[1]
     return {
         "tc": d[mv.tc],
         "holding": d[mv.holding],

@@ -146,28 +146,23 @@ def is_vacuous(interval: PboxInterval) -> bool:
     )
 
 
-def reanchor(interval: PboxInterval, lo_q: float, hi_q: float) -> PboxInterval:
-    """Slide both cdf points of ``interval`` along their own lines onto
-    [lo_q, hi_q], a subrange of its quantile range, and repair dominance.
+def reanchor(up: CdfPoint, low: CdfPoint, lo_q: float, hi_q: float) -> PboxInterval:
+    """The domain over [lo_q, hi_q] bounded above by ``up``'s cdf line and
+    below by ``low``'s: each point slides along its own line onto its end of
+    the range (:func:`anchor`), then dominance is repaired.
 
-    A flat line keeps its level wherever it is anchored, so an interval with
-    two flat lines whose levels do not conflict only moves its quantiles: the
-    points :func:`anchor` would build, with nothing to repair.  A range too
-    wide for a float width takes the general path, where a move may
-    overflow.
+    Two flat lines whose levels do not conflict only move their quantiles,
+    with nothing to repair.  Their level is computed as :func:`anchor` does,
+    ``f + 0 * move``: the bits are the general path's, down to the sign of a
+    zero level, and a move too long for a float gives a NaN level that
+    :class:`CdfPoint` rejects with the same ``ValueError``.
     """
-    lo, hi = interval.lo, interval.hi
-    if (
-        lo.s == 0.0
-        and hi.s == 0.0
-        and not lo.f < hi.f - TOLERANCE
-        and hi.q - lo.q < math.inf
-    ):
+    if up.s == 0.0 and low.s == 0.0 and not up.f < low.f - TOLERANCE:
         return PboxInterval(
-            lo if lo_q == lo.q else CdfPoint(lo_q, lo.f, lo.s),
-            hi if hi_q == hi.q else CdfPoint(hi_q, hi.f, hi.s),
+            up if lo_q == up.q else CdfPoint(lo_q, up.f + up.s * (lo_q - up.q), up.s),
+            low if hi_q == low.q else CdfPoint(hi_q, low.f + low.s * (hi_q - low.q), low.s),
         )
-    return repair_dominance(PboxInterval(anchor(lo, lo_q), anchor(hi, hi_q)))
+    return repair_dominance(PboxInterval(anchor(up, lo_q), anchor(low, hi_q)))
 
 
 def tighter_upper(a: CdfPoint, b: CdfPoint, x: float) -> CdfPoint:
@@ -381,13 +376,11 @@ def meet(a: PboxInterval, b: PboxInterval) -> PboxInterval:
     """Intersection of two domains.
 
     Quantile bounds intersect; each cdf bound keeps whichever input line is
-    tighter at the midpoint of the new range, re-anchored at the new bound.
+    tighter at the midpoint of the new range, placed on it by :func:`reanchor`.
     """
     lo_q, hi_q = intersect_quantiles(a.lo.q, a.hi.q, b.lo.q, b.hi.q)
     mid = 0.5 * (lo_q + hi_q)
-    up = tighter_upper(a.lo, b.lo, mid)
-    low = tighter_lower(a.hi, b.hi, mid)
-    return repair_dominance(PboxInterval(anchor(up, lo_q), anchor(low, hi_q)))
+    return reanchor(tighter_upper(a.lo, b.lo, mid), tighter_lower(a.hi, b.hi, mid), lo_q, hi_q)
 
 
 def load_observations_csv(path) -> ObservationSet:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pboxcdf import engine
+from pboxcdf import engine, pbox
 from pboxcdf.arith import div_bounds, mul_bounds
 from pboxcdf.engine import (
     CONSISTENT,
@@ -23,10 +23,13 @@ from pboxcdf.pbox import (
     check_dominance,
     convex_interval,
     intersect_quantiles,
+    meet,
     point_mass,
     project,
     reanchor,
     repair_dominance,
+    tighter_lower,
+    tighter_upper,
 )
 
 from conftest import add_bounds, random_domain, random_envelope, sub_bounds
@@ -525,20 +528,21 @@ def _bits(domains):
     ]
 
 
-def _run_add(domains, args, prop):
-    """Status (or the error raised), domain bits and counters of one ``add``
-    posted over ``domains`` and propagated with ``prop``."""
-    kept = engine._KINDS["add"]
-    engine._KINDS["add"] = (3, prop)
+def _run_posted(kind, domains, args, prop):
+    """Status (or the error raised), domain bits and counters of one
+    constraint of ``kind`` posted over ``domains`` and propagated with
+    ``prop`` as its propagator."""
+    kept = engine._KINDS[kind]
+    engine._KINDS[kind] = (kept[0], prop)
     try:
         store, _ = _store_with(*domains)
-        store.post(Constraint("add", tuple(args)))
+        store.post(Constraint(kind, tuple(args)))
         try:
             status = store.propagate()
         except ValueError as exc:
             status = (type(exc), str(exc))
     finally:
-        engine._KINDS["add"] = kept
+        engine._KINDS[kind] = kept
     return status, _bits(store.domains), store.stats
 
 
@@ -583,8 +587,8 @@ def add_sweep(seed, draws):
         elif roll < 0.1:
             args[rng.randrange(n)] = rng.randrange(n)  # a repeated term
         domains = terms + [total]
-        new = _run_add(domains, args, DomainStore._prop_add)
-        old = _run_add(domains, args, _full_pass_add)
+        new = _run_posted("add", domains, args, DomainStore._prop_add)
+        old = _run_posted("add", domains, args, _full_pass_add)
         assert new == old, (domains, args)
         kind = new[0] if isinstance(new[0], str) else new[0][0].__name__
         seen[kind] = seen.get(kind, 0) + 1
@@ -665,8 +669,8 @@ class TestLinearSum:
         for terms, total in cases:
             domains = [convex_interval(lo, hi) for lo, hi in terms + [total]]
             args = range(len(domains))
-            new = _run_add(domains, args, DomainStore._prop_add)
-            old = _run_add(domains, args, _full_pass_add)
+            new = _run_posted("add", domains, args, DomainStore._prop_add)
+            old = _run_posted("add", domains, args, _full_pass_add)
             assert new[:2] == old[:2]
             statuses.append(new[0])
         assert statuses[0][0] is ValueError
@@ -717,21 +721,57 @@ class TestLinearSum:
 
 
 def _flat_domain(rng):
-    """Two flat cdf lines, with levels at, near or away from the ends of
-    [0, 1], so that some conflict; some span a range too wide for a float
-    width."""
+    """Two flat cdf lines, with levels at (a zero of either sign), near or
+    away from the ends of [0, 1], so that some conflict; some span a range
+    too wide for a float width."""
     if rng.random() < 0.15:
         lo, hi = -rng.uniform(1e307, 1.7e308), rng.uniform(1e307, 1.7e308)
     else:
         lo = rng.uniform(-100.0, 100.0)
         hi = lo + rng.choice((0.0, 1e-7, rng.uniform(0.0, 100.0)))
-    levels = (0.0, 1.0, TOLERANCE / 2, 1.0 - TOLERANCE / 2, rng.random())
+    levels = (0.0, -0.0, 1.0, TOLERANCE / 2, 1.0 - TOLERANCE / 2, rng.random())
     up_f, low_f = rng.choice(levels), rng.choice(levels)
     return PboxInterval(CdfPoint(lo, up_f, 0.0), CdfPoint(hi, low_f, 0.0))
 
 
-def _reanchored(d, lo, hi):
-    return repair_dominance(PboxInterval(anchor(d.lo, lo), anchor(d.hi, hi)))
+# References of the placement step: each slides its points with anchor and
+# repairs dominance, with no shortcut for flat lines.
+
+
+def _reanchored(up, low, lo, hi):
+    return repair_dominance(PboxInterval(anchor(up, lo), anchor(low, hi)))
+
+
+def _met(a, b):
+    lo_q, hi_q = intersect_quantiles(a.lo.q, a.hi.q, b.lo.q, b.hi.q)
+    mid = 0.5 * (lo_q + hi_q)
+    up = tighter_upper(a.lo, b.lo, mid)
+    low = tighter_lower(a.hi, b.hi, mid)
+    return repair_dominance(PboxInterval(anchor(up, lo_q), anchor(low, hi_q)))
+
+
+def _reference_leq(store, x, y):
+    dx = store._domain(x)
+    dy = store._domain(y)
+
+    x_hi_q = min(dx.hi.q, dy.hi.q)
+    if dx.lo.q > x_hi_q:
+        if dx.lo.q - x_hi_q > TOLERANCE:
+            raise Inconsistent(f"ordering wipes out {store.names[x]!r}")
+        x_hi_q = dx.lo.q
+    mid_x = 0.5 * (dx.lo.q + x_hi_q)
+    low_x = tighter_lower(dx.hi, dy.hi, mid_x)
+    store._update(x, repair_dominance(PboxInterval(dx.lo, anchor(low_x, x_hi_q))))
+
+    dx = store.domains[x]
+    y_lo_q = max(dy.lo.q, dx.lo.q)
+    if y_lo_q > dy.hi.q:
+        if y_lo_q - dy.hi.q > TOLERANCE:
+            raise Inconsistent(f"ordering wipes out {store.names[y]!r}")
+        y_lo_q = dy.hi.q
+    mid_y = 0.5 * (y_lo_q + dy.hi.q)
+    up_y = tighter_upper(dy.lo, dx.lo, mid_y)
+    store._update(y, repair_dominance(PboxInterval(anchor(up_y, y_lo_q), dy.hi)))
 
 
 def _projection_bits(fn, *args):
@@ -758,15 +798,109 @@ class TestFlatProjection:
             store, (v,) = _store_with(d)
             store._lo, store._hi, store._moved = [lo], [hi], set()
             got = _projection_bits(store._project, v)
-            assert got == _projection_bits(_reanchored, d, lo, hi), (d, lo, hi)
+            assert got == _projection_bits(_reanchored, d.lo, d.hi, lo, hi), (d, lo, hi)
             seen.add(got if isinstance(got, type) else "projected")
             if d.lo.q < 0.0:
 
                 def floor(onto):
-                    return onto(d, *intersect_quantiles(d.lo.q, d.hi.q, 0.0, max(d.hi.q, 0.0)))
+                    floored = intersect_quantiles(d.lo.q, d.hi.q, 0.0, max(d.hi.q, 0.0))
+                    return onto(d.lo, d.hi, *floored)
 
                 assert _projection_bits(floor, reanchor) == _projection_bits(floor, _reanchored), d
         assert seen == {"projected", Inconsistent, ValueError}
+
+    def test_placement_matches_anchor_and_repair(self):
+        # A larger sweep runs in CI: placement_sweep(1, 400_000).
+        seen = placement_sweep(20261020, 20_000)
+        for op in ("meet", "reanchor"):
+            assert {f"{op} placed", f"{op} Inconsistent", f"{op} ValueError"} <= set(seen)
+        assert {"leq consistent", "leq failed", "leq ValueError"} <= set(seen)
+
+    def test_flat_placements_repair_nothing(self, monkeypatch):
+        # Flat lines whose levels do not conflict are placed by moving their
+        # quantiles: a meet of two convex intervals and a leq over convex
+        # domains repair no dominance.
+        calls = []
+        repair = pbox.repair_dominance
+
+        def counted(interval):
+            calls.append(interval)
+            return repair(interval)
+
+        for module in (pbox, engine):
+            if getattr(module, "repair_dominance", None) is repair:
+                monkeypatch.setattr(module, "repair_dominance", counted)
+        met = meet(convex_interval(0.0, 10.0), convex_interval(5.0, 20.0))
+        assert met == convex_interval(5.0, 10.0)
+        store, (x, y) = _store_with(convex_interval(0.0, 10.0), convex_interval(-5.0, 6.0))
+        store.post(Constraint("leq", (x, y)))
+        assert store.propagate() == CONSISTENT
+        assert store.domains == [convex_interval(0.0, 6.0)] * 2
+        assert calls == []
+
+
+def _placement_pair(rng):
+    """Two domains, each with flat lines from :func:`_flat_domain` (some
+    spanning ranges near +-1.7e308) or from ``random_domain``, mostly
+    sloped.  The second one's lines often move onto a range that overlaps
+    the first's, or that misses it by less than TOLERANCE, an inversion that
+    collapses."""
+    a, b = (rng.choice((_flat_domain, random_domain))(rng) for _ in range(2))
+    roll = rng.random()
+    if roll < 0.4:
+        ends = (a.lo.q, a.hi.q, _inside(rng, a), _inside(rng, b))
+        lo, hi = sorted(rng.choice(ends) for _ in range(2))
+    elif roll < 0.7:
+        gap, width = rng.uniform(0.0, TOLERANCE), rng.choice((0.0, rng.uniform(0.0, 50.0)))
+        lo = a.hi.q + gap if rng.random() < 0.5 else a.lo.q - gap - width
+        hi = lo + width
+    else:
+        return a, b
+    b = PboxInterval(CdfPoint(lo, b.lo.f, b.lo.s), CdfPoint(hi, b.hi.f, b.hi.s))
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def _inside(rng, d):
+    # A point of d's quantile range, also when its width is too wide for a float.
+    t = rng.random()
+    return min(max(t * d.lo.q + (1.0 - t) * d.hi.q, d.lo.q), d.hi.q)
+
+
+def placement_sweep(seed, cases):
+    """Checks the placement step against its anchor-then-repair references
+    on ``cases`` seeded operand pairs (see :func:`_placement_pair`), taking
+    ``meet``, ``reanchor`` and a two-variable ``leq`` store in turn: each
+    must give the reference's bits, or raise the same error type (for the
+    store, the same status, error and message, and equal counters).
+    ``reanchor`` takes one line of either domain per side and a range whose
+    ends are domain bounds or points inside the first domain, sometimes
+    inverted by less than TOLERANCE.  Returns how often each outcome came
+    up."""
+    rng = random.Random(seed)
+    seen = {}
+    for k in range(cases):
+        a, b = _placement_pair(rng)
+        op = ("meet", "reanchor", "leq")[k % 3]
+        if op == "meet":
+            got = _projection_bits(meet, a, b)
+            assert got == _projection_bits(_met, a, b), (a, b)
+        elif op == "reanchor":
+            up, low = rng.choice((a.lo, b.lo)), rng.choice((a.hi, b.hi))
+            ends = (a.lo.q, a.hi.q, b.lo.q, b.hi.q)
+            lo, hi = sorted(
+                rng.choice(ends) if rng.random() < 0.5 else _inside(rng, a) for _ in range(2)
+            )
+            if rng.random() < 0.1:
+                lo = hi + rng.uniform(0.0, TOLERANCE)
+            got = _projection_bits(reanchor, up, low, lo, hi)
+            assert got == _projection_bits(_reanchored, up, low, lo, hi), (up, low, lo, hi)
+        else:
+            got = _run_posted("leq", (a, b), (0, 1), DomainStore._prop_leq)
+            assert got == _run_posted("leq", (a, b), (0, 1), _reference_leq), (a, b)
+            got = got[0] if isinstance(got[0], str) else got[0][0]
+        outcome = f"{op} {'placed' if isinstance(got, list) else getattr(got, '__name__', got)}"
+        seen[outcome] = seen.get(outcome, 0) + 1
+    return dict(sorted(seen.items()))
 
 
 def _random_network(rng, n_vars=6, n_constraints=5):

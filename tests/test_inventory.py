@@ -489,6 +489,16 @@ class TestSumBinding:
             inventory._sum_binding(terms)
 
 
+def _model(inputs, schedule, order_sizes=None):
+    """``build_model``'s network, or with ``order_sizes`` the network of the
+    bindings with orders pinned to them, forked over the horizon's topology
+    as ``build_model`` forks its own."""
+    if order_sizes is None:
+        return build_model(inputs, schedule)
+    network, mv = inventory._network(inputs.inst.horizon)
+    return network.fork(inventory._bindings(inputs, schedule, order_sizes)), mv
+
+
 class TestBuildModel:
     def test_single_cycle_nonnegativity_prunes_orders(self):
         inst = scalar_instance(1, [5.0], x_max=10.0)
@@ -508,7 +518,7 @@ class TestBuildModel:
         sizes = robust_order_sizes(inputs, flags)
         for order_sizes in (None, sizes):
             stores = [
-                build_model(inputs, schedule, order_sizes)[0] for schedule in (flags, [1, 0, 1])
+                _model(inputs, schedule, order_sizes)[0] for schedule in (flags, [1, 0, 1])
             ]
             assert stores[0].domains == stores[1].domains
             assert stores[0].propagate() == stores[1].propagate() == CONSISTENT
@@ -607,7 +617,7 @@ class TestBuildModel:
             (decided, None),
             (decided, robust_order_sizes(inputs, decided)),
         ):
-            store, mv = build_model(inputs, schedule, order_sizes=sizes)
+            store, mv = _model(inputs, schedule, sizes)
             assert store.status == CONSISTENT
             assert {c.kind for c in store.constraints} <= {"add", "sub", "mul"}
             read = {vid for c in store.constraints for vid in c.args[:-1]}
@@ -871,7 +881,7 @@ def _prefix_bounds(inst, mode="pbox"):
         if fields is not None:
             gap = abs(searcher._leaf_cost(served[flags]) - best[flags])
             assert gap <= searcher._margin / 2, (inst, flags, gap, searcher._margin)
-            store, mv = build_model(inputs, flags, order_sizes=robust_order_sizes(inputs, flags))
+            store, mv = _model(inputs, flags, robust_order_sizes(inputs, flags))
             assert store.propagate() == CONSISTENT, (inst, flags)
             d = store.domains
             fixpoint = [d[mv.tc], d[mv.holding]]
