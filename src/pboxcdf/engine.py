@@ -43,7 +43,7 @@ CONSISTENT = "consistent"
 FAILED = "failed"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Constraint:
     """A constraint record over variable ids.
 
@@ -55,13 +55,20 @@ class Constraint:
     kind: str
     args: tuple[int, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _KINDS:
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        arity = _KINDS[self.kind][0]
-        n = len(self.args)
-        if n < arity or n > arity and self.kind != "add":
-            raise ValueError(f"constraint {self.kind!r} takes {arity} variables, got {n}")
+    def __init__(self, kind: str, args: tuple[int, ...]):
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ValueError(f"unknown constraint kind {kind!r}")
+        arity = _KINDS[kind][0]
+        n = len(args)
+        if n < arity or n > arity and kind != "add":
+            raise ValueError(f"constraint {kind!r} takes {arity} variables, got {n}")
+        _set_kind(self, kind)
+        _set_args(self, args)
+
+
+# Slot setters: the generated frozen __init__ writes through object.__setattr__.
+_set_kind = Constraint.kind.__set__
+_set_args = Constraint.args.__set__
 
 
 def _level(p: CdfPoint, q: float) -> float:

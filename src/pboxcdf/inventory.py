@@ -52,6 +52,16 @@ DEFAULT_UNIT_COST = 5.5
 DEFAULT_X_MAX = 100.0
 
 
+def _left_sum(values) -> float:
+    """The float sum of ``values`` rounded step by step from the left.  From
+    Python 3.12 on ``sum`` compensates its rounding, so its last bits, and
+    the results built on them, would depend on the Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class InventoryInstance:
     """Inputs of the scheduling model.
@@ -495,7 +505,7 @@ def _bindings(inputs: ModelInputs, schedule, order_sizes=None) -> list[PboxInter
     # Orders must be able to meet demand up to the next replenishment, so the
     # total ordered quantity is floored by worst-case total demand.  Pinned
     # covering sizes can sum to a rounding ulp below that floor.
-    worst_total = sum(inputs.worst) - inst.initial_stock
+    worst_total = _left_sum(inputs.worst) - inst.initial_stock
     hi = total_orders.hi.q
     if worst_total > hi + TOLERANCE:
         return None
@@ -772,7 +782,7 @@ class _Searcher:
         self.a_lo = inputs.ordering_cost.lo.q
         self.h_lo = inputs.holding_cost.lo.q
         self.v_lo = v_lo = inputs.unit_cost.lo.q
-        self.purchase_lo = v_lo * max(0.0, sum(self.worst) - inst.initial_stock)
+        self.purchase_lo = v_lo * max(0.0, _left_sum(self.worst) - inst.initial_stock)
         # Rounding margins of _node_bound and _leaf_cost.  Let u = 2^-53.
         # Every quantity there (demand, stock, order capacity, R, pool) lies
         # in [0, B_q], and every cost term in [0, B].  Each float value is
@@ -787,7 +797,7 @@ class _Searcher:
         # 2e + S, half the margin, of its tc.lo.q, so the leaves within the
         # margin of the least cost hold the winner, and no pruned leaf's
         # tc.lo.q is below that of the least-cost leaf.
-        b_q = inst.initial_stock + sum(self.worst) + n * inst.x_max
+        b_q = inst.initial_stock + _left_sum(self.worst) + n * inst.x_max
         b = self.a_lo * n + (v_lo + 2.0 * self.h_lo * n) * b_q
         ulps = 4.0 * (n + 2) ** 3 * 2.0**-52
         self._cap_slack = ulps * b_q + n * _COVER_SLACK
@@ -943,7 +953,7 @@ class _Searcher:
         if served is None:
             return math.inf
         points, spare, stock, holding = served
-        cap = sum(spare) + stock + self._cap_slack
+        cap = _left_sum(spare) + stock + self._cap_slack
         credit = self.h_lo * (points[-1] if points else 0)
         future = math.inf
         for r, c in self._open_costs[len(spare)]:

@@ -37,7 +37,7 @@ def json_number(value, kind=float):
     return kind(value)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CdfPoint:
     """A quantile together with the uniform cdf line issued from it.
 
@@ -49,13 +49,16 @@ class CdfPoint:
     f: float
     s: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.q):
-            raise ValueError(f"quantile must be finite, got {self.q!r}")
-        if not 0.0 <= self.f <= 1.0:
-            raise ValueError(f"cdf value must lie in [0, 1], got {self.f!r}")
-        if not (self.s >= 0.0 and math.isfinite(self.s)):
-            raise ValueError(f"slope must be finite and >= 0, got {self.s!r}")
+    def __init__(self, q: float, f: float, s: float):
+        if not math.isfinite(q):
+            raise ValueError(f"quantile must be finite, got {q!r}")
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(f"cdf value must lie in [0, 1], got {f!r}")
+        if not (s >= 0.0 and math.isfinite(s)):
+            raise ValueError(f"slope must be finite and >= 0, got {s!r}")
+        _set_q(self, q)
+        _set_f(self, f)
+        _set_s(self, s)
 
     def to_dict(self) -> dict:
         return {"q": self.q, "f": self.f, "s": self.s}
@@ -65,7 +68,13 @@ class CdfPoint:
         return cls(json_number(obj["q"]), json_number(obj["f"]), json_number(obj["s"]))
 
 
-@dataclass(frozen=True, slots=True)
+# Slot setters: the generated frozen __init__ writes through object.__setattr__.
+_set_q = CdfPoint.q.__set__
+_set_f = CdfPoint.f.__set__
+_set_s = CdfPoint.s.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PboxInterval:
     """Pair of cdf points; ``lo`` carries the upper cdf bound, ``hi`` the lower.
 
@@ -77,11 +86,11 @@ class PboxInterval:
     lo: CdfPoint
     hi: CdfPoint
 
-    def __post_init__(self):
-        if self.lo.q > self.hi.q:
-            raise ValueError(
-                f"quantile bounds out of order: {self.lo.q!r} > {self.hi.q!r}"
-            )
+    def __init__(self, lo: CdfPoint, hi: CdfPoint):
+        if lo.q > hi.q:
+            raise ValueError(f"quantile bounds out of order: {lo.q!r} > {hi.q!r}")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
     def to_dict(self) -> dict:
         return {"lo": self.lo.to_dict(), "hi": self.hi.to_dict()}
@@ -96,6 +105,10 @@ class PboxInterval:
             return repair_dominance(domain)
         except Inconsistent as exc:
             raise ValueError(f"domain admits no cdf: {exc}") from None
+
+
+_set_lo = PboxInterval.lo.__set__
+_set_hi = PboxInterval.hi.__set__
 
 
 def convex_interval(lo_q: float, hi_q: float) -> PboxInterval:
@@ -244,25 +257,29 @@ class ObservationSet:
         return cls(tuple(sorted(merged.items())))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StaircaseCdf:
     """Empirical cdf of a finite observation multiset."""
 
     steps: tuple[tuple[float, float], ...]
 
-    def __post_init__(self):
-        if not self.steps:
+    def __init__(self, steps: tuple[tuple[float, float], ...]):
+        if not steps:
             raise ValueError("staircase must contain at least one step")
         prev_q = None
         prev_f = 0.0
-        for q, f in self.steps:
-            if prev_q is not None and q < prev_q:
-                raise ValueError("step quantiles must be nondecreasing")
+        for q, f in steps:
+            if prev_q is not None and q <= prev_q:
+                raise ValueError("step quantiles must be strictly increasing")
             if not prev_f < f <= 1.0:
                 raise ValueError("step cdf values must be strictly increasing in (0, 1]")
             prev_q, prev_f = q, f
-        if abs(self.steps[-1][1] - 1.0) > 1e-12:
-            raise ValueError(f"final step must reach 1, got {self.steps[-1][1]!r}")
+        if abs(steps[-1][1] - 1.0) > 1e-12:
+            raise ValueError(f"final step must reach 1, got {steps[-1][1]!r}")
+        _set_steps(self, steps)
+
+
+_set_steps = StaircaseCdf.steps.__set__
 
 
 def empirical_cdf(obs: ObservationSet) -> StaircaseCdf:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -83,6 +86,29 @@ def strip_keys(obj, keys=("timing", "wall_time_s")):
     if isinstance(obj, list):
         return [strip_keys(v, keys) for v in obj]
     return obj
+
+
+def check_frozen_value(value, text: str, bad: dict, message: str) -> None:
+    """The contract of a frozen value class: ``repr`` reads ``text``; the
+    value built anew from its fields, every pickle and a deep copy compare
+    and hash equal to it; setting or deleting a field raises
+    ``FrozenInstanceError``; ``dataclasses.replace`` validates its result,
+    so the ``bad`` changes raise ``ValueError`` with ``message``."""
+    names = [f.name for f in dataclasses.fields(value)]
+    assert repr(value) == text
+    copies = [type(value)(*(getattr(value, name) for name in names)), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert other == value and hash(other) == hash(value) and repr(other) == text
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    assert dataclasses.replace(value) == value
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(value, **bad)
+    assert str(exc.value) == message
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from pboxcdf.pbox import (
     tighter_upper,
 )
 
-from conftest import add_bounds, random_domain, random_envelope, sub_bounds
+from conftest import add_bounds, check_frozen_value, random_domain, random_envelope, sub_bounds
 
 EX3_I = PboxInterval(CdfPoint(10, 0.14, 0.016), CdfPoint(80, 0.49, 0.06))
 EX3_J = PboxInterval(CdfPoint(20, 0.06, 0.025), CdfPoint(90, 0.9, 0.014))
@@ -60,6 +60,33 @@ class TestNewVarAndPost:
         for kind in ("sub", "mul", "div"):
             with pytest.raises(ValueError):
                 Constraint(kind, (0, 1, 2, 3))
+
+    # Each invalid constraint with its ValueError message.
+    @pytest.mark.parametrize(
+        "kind, args, message",
+        [
+            ("xor", (0, 1), "unknown constraint kind 'xor'"),
+            (None, (0, 1), "unknown constraint kind None"),
+            ("eq", (0,), "constraint 'eq' takes 2 variables, got 1"),
+            ("leq", (0, 1, 2), "constraint 'leq' takes 2 variables, got 3"),
+            ("add", (0, 1), "constraint 'add' takes 3 variables, got 2"),
+            ("sub", (0, 1, 2, 3), "constraint 'sub' takes 3 variables, got 4"),
+            ("mul", (0, 1), "constraint 'mul' takes 3 variables, got 2"),
+            ("div", (0, 1, 2, 3), "constraint 'div' takes 3 variables, got 4"),
+        ],
+    )
+    def test_constructor_rejects(self, kind, args, message):
+        with pytest.raises(ValueError) as exc:
+            Constraint(kind, args)
+        assert str(exc.value) == message
+
+    def test_frozen_value_contract(self):
+        check_frozen_value(
+            Constraint("add", (0, 1, 2)),
+            "Constraint(kind='add', args=(0, 1, 2))",
+            {"kind": "xor"},
+            "unknown constraint kind 'xor'",
+        )
 
     def test_post_twice_idempotent_at_fixpoint(self):
         store, (x, y, z) = _store_with(

@@ -989,6 +989,12 @@ class TestNodeBound:
         assert best == pytest.approx(500.0 + 112.0 + 5.5 * 156.0)
         assert best - bound <= 1e-6
 
+    def test_worst_demands_add_left_to_right(self):
+        # The bound and the orders floor add floats as sum() did before
+        # Python 3.12, whose compensated sum() gives 1.0 here.
+        assert inventory._left_sum([0.1] * 10) == 0.9999999999999999
+        assert inventory._left_sum([]) == 0.0
+
 
 class TestSearch:
     def test_two_schedules_exhaustive(self):

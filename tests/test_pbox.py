@@ -27,7 +27,7 @@ from pboxcdf.pbox import (
     upper_at,
 )
 
-from conftest import random_envelope, random_observations
+from conftest import check_frozen_value, random_envelope, random_observations
 
 EX2 = PboxInterval(CdfPoint(5.17, 0.1, 1.2), CdfPoint(6.36, 0.7, 0.57))
 
@@ -394,6 +394,97 @@ class TestInvariantsAndSerialization:
     def test_interval_orders_quantiles(self):
         with pytest.raises(ValueError):
             PboxInterval(CdfPoint(1.0, 0.0, 0.0), CdfPoint(0.0, 1.0, 0.0))
+
+    # Each invalid constructor call with its ValueError message.
+    @pytest.mark.parametrize(
+        "cls, args, message",
+        [
+            pytest.param(CdfPoint, (math.nan, 0.5, 0.0), "quantile must be finite, got nan", id="q nan"),
+            pytest.param(CdfPoint, (math.inf, 0.5, 0.0), "quantile must be finite, got inf", id="q inf"),
+            pytest.param(CdfPoint, (-math.inf, 0.5, 0.0), "quantile must be finite, got -inf", id="q -inf"),
+            pytest.param(CdfPoint, (0.0, -0.1, 0.0), "cdf value must lie in [0, 1], got -0.1", id="f < 0"),
+            pytest.param(CdfPoint, (0.0, 1.1, 0.0), "cdf value must lie in [0, 1], got 1.1", id="f > 1"),
+            pytest.param(CdfPoint, (0.0, math.nan, 0.0), "cdf value must lie in [0, 1], got nan", id="f nan"),
+            pytest.param(CdfPoint, (0.0, 0.5, -1.0), "slope must be finite and >= 0, got -1.0", id="s < 0"),
+            pytest.param(CdfPoint, (0.0, 0.5, math.nan), "slope must be finite and >= 0, got nan", id="s nan"),
+            pytest.param(CdfPoint, (0.0, 0.5, math.inf), "slope must be finite and >= 0, got inf", id="s inf"),
+            pytest.param(
+                PboxInterval,
+                (CdfPoint(1.0, 0.0, 0.0), CdfPoint(0.0, 1.0, 0.0)),
+                "quantile bounds out of order: 1.0 > 0.0",
+                id="lo.q > hi.q",
+            ),
+            pytest.param(StaircaseCdf, ((),), "staircase must contain at least one step", id="no step"),
+            pytest.param(
+                StaircaseCdf,
+                (((2.0, 0.5), (1.0, 1.0)),),
+                "step quantiles must be strictly increasing",
+                id="decreasing quantiles",
+            ),
+            # Tied quantiles made envelope divide by zero.
+            pytest.param(
+                StaircaseCdf,
+                (((1.0, 0.5), (1.0, 1.0)),),
+                "step quantiles must be strictly increasing",
+                id="tie of two steps",
+            ),
+            pytest.param(
+                StaircaseCdf,
+                (((1.0, 0.25), (2.0, 0.5), (2.0, 0.75), (3.0, 1.0)),),
+                "step quantiles must be strictly increasing",
+                id="tie in the middle",
+            ),
+            pytest.param(
+                StaircaseCdf,
+                (((1.0, 0.25), (2.0, 0.5), (2.0, 1.0)),),
+                "step quantiles must be strictly increasing",
+                id="tie at the end",
+            ),
+            pytest.param(
+                StaircaseCdf,
+                (((1.0, 0.5), (2.0, 0.5), (3.0, 1.0)),),
+                "step cdf values must be strictly increasing in (0, 1]",
+                id="flat step",
+            ),
+            pytest.param(
+                StaircaseCdf,
+                (((1.0, 0.5), (2.0, 0.9)),),
+                "final step must reach 1, got 0.9",
+                id="short of 1",
+            ),
+        ],
+    )
+    def test_constructor_rejects(self, cls, args, message):
+        with pytest.raises(ValueError) as exc:
+            cls(*args)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "value, text, bad, message",
+        [
+            (
+                CdfPoint(1.0, 0.5, 0.25),
+                "CdfPoint(q=1.0, f=0.5, s=0.25)",
+                {"f": 2.0},
+                "cdf value must lie in [0, 1], got 2.0",
+            ),
+            (
+                EX2,
+                "PboxInterval(lo=CdfPoint(q=5.17, f=0.1, s=1.2), hi=CdfPoint(q=6.36, f=0.7, s=0.57))",
+                {"lo": CdfPoint(7.0, 0.1, 1.2)},
+                "quantile bounds out of order: 7.0 > 6.36",
+            ),
+            (
+                StaircaseCdf(((1.0, 0.25), (2.0, 1.0))),
+                "StaircaseCdf(steps=((1.0, 0.25), (2.0, 1.0)))",
+                {"steps": ((1.0, 0.25), (1.0, 1.0))},
+                "step quantiles must be strictly increasing",
+            ),
+        ],
+        ids=["CdfPoint", "PboxInterval", "StaircaseCdf"],
+    )
+    def test_frozen_value_contract(self, value, text, bad, message):
+        check_frozen_value(value, text, bad, message)
 
     def test_domain_json_round_trip(self):
         again = PboxInterval.from_dict(EX2.to_dict())
