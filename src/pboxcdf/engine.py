@@ -12,9 +12,13 @@ model file's ranges and values into domains.  Constraints register watch
 lists on their variables and wait in one FIFO wake queue, which the fixpoint
 drains in one loop.  A propagator re-enters the queue only when one of its
 variables moved by more than the fixed absolute ``TOLERANCE`` in any scalar
-component, so runs terminate at a stable fixpoint.  One n-ary ``add`` also
-runs ``sub``; ``mul`` runs ``div``, which waits aside while its divisor
-straddles zero and raises if it still does at the fixpoint.
+component, so runs terminate at a stable fixpoint.  A sum over distinct
+variables does not re-enter the queue for its own writes: one pass of a
+linear equation over distinct variables leaves every bound supported
+(bounds consistency), so a re-run could only move a bound by rounding,
+which near 1e8 exceeds ``TOLERANCE``.  One n-ary ``add`` also runs ``sub``;
+``mul`` runs ``div``, which waits aside while its divisor straddles zero and
+raises if it still does at the fixpoint.
 """
 
 from __future__ import annotations
@@ -93,8 +97,14 @@ class DomainStore:
         self.names: list[str] = []
         self.constraints: list[Constraint] = []
         self._watchers: list[list[int]] = []
+        # Per constraint: a sum over distinct variables, whose one pass leaves
+        # every bound supported, so that a wake by its own writes is an echo.
+        self._idempotent: list[bool] = []
         self._queue: deque[int] = deque()
-        self._queued: list[bool] = []
+        # Per constraint: False off the queue, True queued, None queued as an
+        # echo of its own writes, which is dropped unless a later write by
+        # another constraint or a projection clears the mark.
+        self._queued: list[bool | None] = []
         self.status: str = CONSISTENT
         self.stats = {
             "wakes": 0,
@@ -132,7 +142,11 @@ class DomainStore:
         idx = len(self.constraints)
         self.constraints.append(constraint)
         self._queued.append(False)
-        for vid in set(constraint.args):
+        distinct = set(constraint.args)
+        self._idempotent.append(
+            constraint.kind in ("add", "sub") and len(distinct) == len(constraint.args)
+        )
+        for vid in distinct:
             self._watchers[vid].append(idx)
         self._enqueue(idx)
 
@@ -168,6 +182,7 @@ class DomainStore:
         other.names = self.names
         other.constraints = self.constraints
         other._watchers = self._watchers
+        other._idempotent = self._idempotent
         other._shared_topology = True
         other._lo = other._hi = other._moved = None
         self._shared_topology = True
@@ -177,6 +192,7 @@ class DomainStore:
         self.names = list(self.names)
         self.constraints = list(self.constraints)
         self._watchers = [list(w) for w in self._watchers]
+        self._idempotent = list(self._idempotent)
         self._shared_topology = False
 
     # -- propagation -------------------------------------------------------
@@ -187,13 +203,16 @@ class DomainStore:
             self._queue.append(idx)
 
     def _wake(self, vid: int) -> None:
-        # Counts one domain write and queues the watchers of the variable.
+        # Counts one domain write and queues the watchers of the variable; a
+        # watcher queued as an echo keeps its place and will run.
         self.stats["prunes"] += 1
         queued, queue = self._queued, self._queue
         for idx in self._watchers[vid]:
-            if not queued[idx]:
+            mark = queued[idx]
+            if mark is not True:
                 queued[idx] = True
-                queue.append(idx)
+                if mark is False:
+                    queue.append(idx)
 
     def fail(self) -> None:
         """Mark the store inconsistent and drop all pending wakes."""
@@ -239,6 +258,17 @@ class DomainStore:
         cdf points re-anchored onto them and dominance-repaired; a repair that
         cuts a bound wakes the variable's watchers and propagation goes on.
 
+        A write queues every constraint on the variable, the writer too,
+        except that an ``add`` or ``sub`` over distinct variables is not run
+        again for its own writes: its one pass leaves every bound supported
+        in exact arithmetic, so a re-run could only move a bound by rounding.
+        Its own write queues it as an echo in the place a wake would take; a
+        later write by another constraint, a projection or ``tighten``
+        makes it a run again, and an echo still marked when it is popped is
+        dropped without a run or a wake count.  A sum with a repeated term or
+        whose result is also a term, ``eq``, ``leq``, ``mul`` and ``div`` wake
+        themselves as any watcher.
+
         A propagator that raises :class:`DivisorStraddlesZero` has changed
         nothing; it is set aside, a change to one of its variables wakes it
         as usual, and a run that does not raise takes it off.  When no
@@ -248,8 +278,9 @@ class DomainStore:
         model errors only if a divisor still contains zero at the fixpoint,
         whatever the order of its constraints.  An overflow ``ValueError``
         puts the interrupted constraint back at the head of the queue and is
-        re-raised.  Either way the store never reports a fixpoint it has not
-        reached, and every exit leaves the domains projected.
+        re-raised, and the interrupted sum is no echo.  Either way the store
+        never reports a fixpoint it has not reached, and every exit leaves
+        the domains projected.
         """
         if self.status == FAILED:
             return FAILED
@@ -275,7 +306,7 @@ class DomainStore:
             self._lo = self._hi = self._moved = None
 
     def _fixpoint(self) -> str:
-        queue, queued = self._queue, self._queued
+        queue, queued, idempotent = self._queue, self._queued, self._idempotent
         constraints, stats, moved = self.constraints, self.stats, self._moved
         # The constraints whose divisor straddled zero at their last run, in
         # the order they were set aside; a run that does not raise takes its
@@ -285,6 +316,10 @@ class DomainStore:
         while True:
             if queue:
                 idx = queue.popleft()
+                if queued[idx] is None:
+                    # An echo: only its own last pass wrote its variables.
+                    queued[idx] = False
+                    continue
             elif moved:
                 self._project(moved.pop())
                 continue
@@ -310,6 +345,9 @@ class DomainStore:
                 raise
             else:
                 waiting.pop(idx, None)
+                if queued[idx] and idempotent[idx]:
+                    # Only its own writes can have queued it.
+                    queued[idx] = None
 
     def _project(self, vid: int) -> PboxInterval:
         # Places vid's cdf points onto its bounds (pbox.reanchor): flat lines
@@ -416,9 +454,21 @@ class DomainStore:
         # terms; term k takes z minus the later terms, one at a time, minus the
         # sum of the earlier ones as narrowed: a binary-sum chain without
         # accumulators.  The interval sums are computed inline: this is the
-        # hottest propagator.
+        # hottest propagator.  Two terms, the most common sum, run the same
+        # float operations in the same order unrolled, with no list of rests.
         los, his = self._lo, self._hi
         n = len(args) - 1
+        if n == 2:
+            x, y, z = args
+            self._narrow(z, los[x] + los[y], his[x] + his[y])
+            z_lo, z_hi = los[z], his[z]
+            lo, hi = z_lo - his[y], z_hi - los[y]
+            if not (lo <= los[x] and hi >= his[x]):
+                self._narrow(x, lo, hi)
+            lo, hi = z_lo - his[x], z_hi - los[x]
+            if not (lo <= los[y] and hi >= his[y]):
+                self._narrow(y, lo, hi)
+            return
         x = args[0]
         lo, hi = los[x], his[x]
         for x in args[1:n]:

@@ -269,6 +269,8 @@ class StaircaseCdf:
         prev_q = None
         prev_f = 0.0
         for q, f in steps:
+            if not math.isfinite(q):
+                raise ValueError(f"quantile must be finite, got {q!r}")
             if prev_q is not None and q <= prev_q:
                 raise ValueError("step quantiles must be strictly increasing")
             if not prev_f < f <= 1.0:

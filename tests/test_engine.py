@@ -1,5 +1,9 @@
+import json
 import math
 import random
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,8 @@ from pboxcdf.pbox import (
 )
 
 from conftest import add_bounds, check_frozen_value, random_domain, random_envelope, sub_bounds
+
+DATA = Path(__file__).parent / "data"
 
 EX3_I = PboxInterval(CdfPoint(10, 0.14, 0.016), CdfPoint(80, 0.49, 0.06))
 EX3_J = PboxInterval(CdfPoint(20, 0.06, 0.025), CdfPoint(90, 0.9, 0.014))
@@ -573,47 +579,54 @@ def _run_posted(kind, domains, args, prop):
     return status, _bits(store.domains), store.stats
 
 
+def _sum_draw(rng, n=None):
+    """Domains and ``add`` args of one random sum of ``n`` terms, or of 2-26
+    if not given.  Totals are often cut within a few rounding errors of the
+    widest term's width, where a backward bound lands on or just past a
+    term's own bound; some totals are also a term, and some terms repeat."""
+    if n is None:
+        n = rng.randint(2, 26)
+    terms = [_long_sum_term(rng) for _ in range(n)]
+    s_lo = s_hi = 0.0
+    for t in terms:
+        s_lo += t.lo.q
+        s_hi += t.hi.q
+    wmax = max(t.hi.q - t.lo.q for t in terms)
+    big = max(max(-t.lo.q, t.hi.q) for t in terms)
+    rounding = 4 * (n + 1) ** 2 * 2.0**-52 * big
+    pad = rng.choice([0.0, rng.uniform(0.0, 10.0), rng.uniform(0.0, 1e4)])
+    roll = rng.random()
+    if roll < 0.6:
+        gap = rng.uniform(-4.0, 4.0) * rounding
+        if rng.random() < 0.5:
+            z_lo, z_hi = s_hi - wmax - gap, s_hi + pad
+        else:
+            z_lo, z_hi = s_lo - pad, s_lo + wmax + gap
+    elif roll < 0.8:
+        z_lo, z_hi = sorted(rng.uniform(s_lo - pad, s_hi + pad) for _ in range(2))
+    else:
+        z_lo, z_hi = s_lo - pad, s_hi + pad
+    z_lo, z_hi = min(z_lo, z_hi), max(z_lo, z_hi)
+    total = _stretched(random_domain(rng), z_lo, z_hi)
+    args = list(range(n + 1))
+    roll = rng.random()
+    if roll < 0.05:
+        args[n] = rng.randrange(n)  # the total is also a term
+    elif roll < 0.1:
+        args[rng.randrange(n)] = rng.randrange(n)  # a repeated term
+    domains = terms + [total]
+    return domains, args
+
+
 def add_sweep(seed, draws):
     """Checks the ``add`` propagator against :func:`_full_pass_add` on
-    ``draws`` seeded sums of 2-26 terms: both must reach the same status (or
-    raise the same error), bit-equal domains and equal counters.  Totals are
-    often cut within a few rounding errors of the widest term's width, where
-    a backward bound lands on or just past a term's own bound; some totals
-    are also a term, and some terms repeat.  Returns how often each outcome
-    came up."""
+    ``draws`` seeded :func:`_sum_draw` sums: both must reach the same status
+    (or raise the same error), bit-equal domains and equal counters.
+    Returns how often each outcome came up."""
     rng = random.Random(seed)
     seen = {}
     for _ in range(draws):
-        n = rng.randint(2, 26)
-        terms = [_long_sum_term(rng) for _ in range(n)]
-        s_lo = s_hi = 0.0
-        for t in terms:
-            s_lo += t.lo.q
-            s_hi += t.hi.q
-        wmax = max(t.hi.q - t.lo.q for t in terms)
-        big = max(max(-t.lo.q, t.hi.q) for t in terms)
-        rounding = 4 * (n + 1) ** 2 * 2.0**-52 * big
-        pad = rng.choice([0.0, rng.uniform(0.0, 10.0), rng.uniform(0.0, 1e4)])
-        roll = rng.random()
-        if roll < 0.6:
-            gap = rng.uniform(-4.0, 4.0) * rounding
-            if rng.random() < 0.5:
-                z_lo, z_hi = s_hi - wmax - gap, s_hi + pad
-            else:
-                z_lo, z_hi = s_lo - pad, s_lo + wmax + gap
-        elif roll < 0.8:
-            z_lo, z_hi = sorted(rng.uniform(s_lo - pad, s_hi + pad) for _ in range(2))
-        else:
-            z_lo, z_hi = s_lo - pad, s_hi + pad
-        z_lo, z_hi = min(z_lo, z_hi), max(z_lo, z_hi)
-        total = _stretched(random_domain(rng), z_lo, z_hi)
-        args = list(range(n + 1))
-        roll = rng.random()
-        if roll < 0.05:
-            args[n] = rng.randrange(n)  # the total is also a term
-        elif roll < 0.1:
-            args[rng.randrange(n)] = rng.randrange(n)  # a repeated term
-        domains = terms + [total]
+        domains, args = _sum_draw(rng)
         new = _run_posted("add", domains, args, DomainStore._prop_add)
         old = _run_posted("add", domains, args, _full_pass_add)
         assert new == old, (domains, args)
@@ -682,6 +695,19 @@ class TestLinearSum:
         seen = add_sweep(20260810, 2000)
         assert min(seen[CONSISTENT], seen[FAILED]) > 100, seen
 
+    def test_two_term_kernel_matches_full_backward_pass(self, rng):
+        # add_sweep draws few two-term sums, which _prop_add runs unrolled;
+        # these also go through sub, which runs as z + y = x.
+        seen = Counter()
+        for _ in range(1500):
+            domains, args = _sum_draw(rng, 2)
+            x, y, z = args
+            old = _run_posted("add", domains, args, _full_pass_add)
+            assert _run_posted("add", domains, args, DomainStore._prop_add) == old
+            assert _run_posted("sub", domains, (z, y, x), engine._KINDS["sub"][1]) == old
+            seen[old[0]] += 1
+        assert min(seen[CONSISTENT], seen[FAILED]) > 100, seen
+
     def test_overflowing_sum_matches_full_backward_pass(self):
         # A sum whose float value, or one of whose backward bounds, is not
         # finite: both propagators raise the same error or reach the same
@@ -725,6 +751,103 @@ class TestLinearSum:
         assert store.domains == fixpoint
         assert store.stats["wakes"] - before["wakes"] == len(posted)
         assert store.stats["prunes"] == before["prunes"]
+
+    def test_aliased_sums_wake_themselves(self):
+        # Draws 17 090 and 31 996 of add_sweep(1, ...): sums of 10 and 15
+        # terms whose total is also a term.  In exact arithmetic the other
+        # terms cannot sum to 0 (they miss it by about 807 and 2 171), but one
+        # pass does not see it; the re-run its own writes queue does.
+        for row in json.loads((DATA / "sum_aliased_draws.json").read_text()):
+            domains = [PboxInterval.from_dict(d) for d in row["domains"]]
+            args = row["args"]
+            weights = Counter(args[:-1])
+            weights[args[-1]] -= 1
+            ends = [
+                sorted((Fraction(k * domains[v].lo.q), Fraction(k * domains[v].hi.q)))
+                for v, k in weights.items()
+            ]
+            assert sum(hi for _, hi in ends) < 0 or sum(lo for lo, _ in ends) > 0, row["draw"]
+            for prop in (DomainStore._prop_add, _full_pass_add):
+                status, _, stats = _run_posted("add", domains, args, prop)
+                assert (status, stats["wakes"]) == (FAILED, 2), row["draw"]
+
+    @staticmethod
+    def _solve_counted(monkeypatch, name):
+        """The model ``tests/data/<name>`` and its store and variable order,
+        propagated with every ``add`` run counted; the run after the 100th
+        fails the test rather than letting the fixpoint run on."""
+        runs = []
+        arity, prop = engine._KINDS["add"]
+
+        def counted(store, *args):
+            runs.append(args)
+            if len(runs) > 100:
+                raise AssertionError("the sum keeps waking itself")
+            prop(store, *args)
+
+        monkeypatch.setitem(engine._KINDS, "add", (arity, counted))
+        model = json.loads((DATA / name).read_text())
+        store, order = parse_model(model)
+        assert store.propagate() == CONSISTENT
+        assert store.stats["wakes"] == len(runs)
+        return model, store, order
+
+    def test_distinct_sum_is_not_rerun_for_its_own_writes(self, monkeypatch):
+        # One 6-term sum with values near 1e8: each pass rounds a bound by an
+        # ulp (7.5e-9, above TOLERANCE).  Were its own writes to wake it, each
+        # re-run would move a bound again and the fixpoint would not end.  Over
+        # distinct variables one pass already leaves every bound supported.
+        model, store, order = self._solve_counted(monkeypatch, "sum_ratchet.json")
+        assert store.stats["wakes"] == 1
+        spec = {v["name"]: v for v in model["vars"]}
+        (x_lo, x_hi), (z_lo, z_hi) = (map(Fraction, spec[name]["range"]) for name in "xz")
+        total = sum(Fraction(spec[f"c{i}"]["value"]) for i in range(1, 6))
+        exact = {
+            "x": (max(x_lo, z_lo - total), min(x_hi, z_hi - total)),
+            "z": (max(z_lo, x_lo + total), min(z_hi, x_hi + total)),
+        }
+        assert [float(b) for b in exact["x"]] == [-65422951.44226962, -65422907.97938119]
+        assert [float(b) for b in exact["z"]] == [-215402559.35660523, -215402515.8937168]
+        for name, (lo, hi) in exact.items():
+            d = store.domains[order.index(name)]
+            assert abs(Fraction(d.lo.q) - lo) <= 1e-6 and abs(Fraction(d.hi.q) - hi) <= 1e-6
+
+    def test_aliased_sum_near_1e8_wakes_itself_once(self, monkeypatch):
+        # An 8-term sum with values near 1e8 whose total y is also a term, so
+        # that exactly x = -(c0 + ... + c5).  Its own write wakes it; the
+        # re-run writes nothing, and the fixpoint ends with x still holding
+        # that value.
+        model, store, order = self._solve_counted(monkeypatch, "sum_aliased_1e8.json")
+        assert (store.stats["wakes"], store.stats["prunes"]) == (2, 1)
+        x = store.domains[order.index("x")]
+        exact = -sum(Fraction(v["value"]) for v in model["vars"] if "value" in v)
+        assert Fraction(x.lo.q) <= exact <= Fraction(x.hi.q)
+        assert x.lo.q > model["vars"][order.index("x")]["range"][0]
+
+    def test_interrupted_sum_runs_first_next_time(self):
+        # x + y = z narrows z, then overflows on y's upper bound.  Its own
+        # write queued it, but it did not finish, so that is no echo: it goes
+        # back to the head of the queue and raises again on the next run.
+        store, (x, y, z) = _store_with(
+            convex_interval(-1e308, 0.0), convex_interval(0.0, 1e308), convex_interval(1.0, 1.5e308)
+        )
+        store.post(Constraint("add", (x, y, z)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="overflowed"):
+                store.propagate()
+            assert store._queue[0] == 0 and store._queued[0] is True
+            assert store.domains[z] == convex_interval(1.0, 1e308)
+
+    def test_any_other_write_clears_an_echo(self):
+        # A queued echo keeps its place in the queue; a write to one of the
+        # sum's variables by anything but its own pass (another constraint,
+        # a projection, tighten) makes it a run again.
+        store, (x, y, z, w) = _store_with(*[convex_interval(0.0, 10.0)] * 4)
+        store.post(Constraint("add", (x, y, z)))
+        store.post(Constraint("eq", (z, w)))
+        store._queued[0] = None
+        store._wake(z)
+        assert list(store._queue) == [0, 1] and store._queued[:2] == [True, True]
 
     def test_sum_fed_by_binary_chain(self):
         # Every link of a chain of binary adds is a term of a 4-term sum,

@@ -417,6 +417,24 @@ class TestInvariantsAndSerialization:
             pytest.param(StaircaseCdf, ((),), "staircase must contain at least one step", id="no step"),
             pytest.param(
                 StaircaseCdf,
+                (((math.nan, 0.5), (1.0, 1.0)),),
+                "quantile must be finite, got nan",
+                id="step q nan",
+            ),
+            pytest.param(
+                StaircaseCdf,
+                (((0.0, 0.5), (math.inf, 1.0)),),
+                "quantile must be finite, got inf",
+                id="step q inf",
+            ),
+            pytest.param(
+                StaircaseCdf,
+                (((-math.inf, 0.5), (1.0, 1.0)),),
+                "quantile must be finite, got -inf",
+                id="step q -inf",
+            ),
+            pytest.param(
+                StaircaseCdf,
                 (((2.0, 0.5), (1.0, 1.0)),),
                 "step quantiles must be strictly increasing",
                 id="decreasing quantiles",
