@@ -277,10 +277,10 @@ class DomainStore:
         order they were set aside, and the first one's error is raised: a
         model errors only if a divisor still contains zero at the fixpoint,
         whatever the order of its constraints.  An overflow ``ValueError``
-        puts the interrupted constraint back at the head of the queue and is
-        re-raised, and the interrupted sum is no echo.  Either way the store
-        never reports a fixpoint it has not reached, and every exit leaves
-        the domains projected.
+        puts the interrupted constraint back at the head of the queue, once,
+        and is re-raised, and the interrupted sum is no echo.  Either way
+        the store never reports a fixpoint it has not reached, and every
+        exit leaves the domains projected.
         """
         if self.status == FAILED:
             return FAILED
@@ -338,6 +338,9 @@ class DomainStore:
             except DivisorStraddlesZero as exc:
                 waiting[idx] = exc
             except ValueError:
+                if queued[idx]:
+                    # Its own write before the overflow queued it at the tail.
+                    queue.remove(idx)
                 queued[idx] = True
                 queue.appendleft(idx)
                 for other in waiting:

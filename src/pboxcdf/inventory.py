@@ -399,25 +399,39 @@ def _network(horizon: int) -> tuple[DomainStore, ModelVars]:
     one cycle.  Per cycle, supply is stock plus order and stock is supply
     minus demand; holding and purchase are each one product over a total,
     and the total cost is the 3-term sum of ordering, holding and purchase.
+
+    Constraints are posted, and so first run, along the flow of the cuts
+    that the bindings set: the order-total sum, whose floor cuts the
+    orders; then each cycle's balance, whose stock floor cuts its supply,
+    and its supply, which passes that cut on to the previous cycle's
+    stock, from the last cycle back to the first; then the stock total,
+    holding, purchase and the total cost.  A constraint then rarely writes
+    a variable that a constraint already run watches, so the fixpoint's
+    first pass through the queue is nearly all of it.  Posted from the
+    first cycle on, a cut at cycle t reaches cycle t - 1 only on a second
+    pass, and the re-runs grow with the horizon.
     """
     store = DomainStore()
     new_var = store.new_var
     hvar = new_var(_ZERO, name="h")
     vvar = new_var(_ZERO, name="v")
     prev_stock = new_var(_ZERO, name="stock0")
-    demand, order, stock = [], [], []
+    demand, order, stock, flows = [], [], [], []
     for cyc in range(1, horizon + 1):
         d_t = new_var(_ZERO, name=f"demand{cyc}")
         x_t = new_var(_ZERO, name=f"order{cyc}")
         b_t = new_var(_ZERO, name=f"supply{cyc}")
         i_t = new_var(_ZERO, name=f"stock{cyc}")
-        store.post(Constraint("add", (prev_stock, x_t, b_t)))
-        store.post(Constraint("sub", (b_t, d_t, i_t)))
+        flows.append(Constraint("add", (prev_stock, x_t, b_t)))
+        flows.append(Constraint("sub", (b_t, d_t, i_t)))
         demand.append(d_t)
         order.append(x_t)
         stock.append(i_t)
         prev_stock = i_t
     total_orders = _post_sum(store, order, "total_orders")
+    # Each cycle's balance, then its supply, from the last cycle back.
+    for constraint in reversed(flows):
+        store.post(constraint)
     total_stock = _post_sum(store, stock, "total_stock")
     ordering = new_var(_ZERO, name="total_ordering")
     holding = new_var(_ZERO, name="total_holding")

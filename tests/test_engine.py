@@ -826,8 +826,9 @@ class TestLinearSum:
 
     def test_interrupted_sum_runs_first_next_time(self):
         # x + y = z narrows z, then overflows on y's upper bound.  Its own
-        # write queued it, but it did not finish, so that is no echo: it goes
-        # back to the head of the queue and raises again on the next run.
+        # write queued it at the tail, but it did not finish, so that is no
+        # echo: it moves to the head of the queue, queued once, and raises
+        # again on the next run.
         store, (x, y, z) = _store_with(
             convex_interval(-1e308, 0.0), convex_interval(0.0, 1e308), convex_interval(1.0, 1.5e308)
         )
@@ -835,7 +836,7 @@ class TestLinearSum:
         for _ in range(2):
             with pytest.raises(ValueError, match="overflowed"):
                 store.propagate()
-            assert store._queue[0] == 0 and store._queued[0] is True
+            assert list(store._queue) == [0] and store._queued[0] is True
             assert store.domains[z] == convex_interval(1.0, 1e308)
 
     def test_any_other_write_clears_an_echo(self):
