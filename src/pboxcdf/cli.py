@@ -69,7 +69,9 @@ def cmd_solve(args) -> int:
             model = json.load(fh)
     except OSError as exc:
         return _input_error(f"cannot read {args.input}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Also an int literal past the interpreter's digit limit, which the
+        # decoder raises as a plain ValueError.
         return _input_error(f"malformed model JSON: {exc}")
     try:
         store, order = parse_model(model)

@@ -254,13 +254,9 @@ def model_inputs(inst: InventoryInstance, mode: str = "pbox") -> ModelInputs:
 # -- initial bindings for derived quantities ---------------------------------
 
 
-def _levelwise(f1: float, s1: float, f2: float, s2: float) -> tuple[float, float]:
-    # Quantiles of the two bound lines added at equal cdf level: the joint
-    # slope is the harmonic combination, the anchor level the slope-weighted
-    # average of the anchor levels.  A subnormal slope makes s 0 and f 0 * inf.
-    s = 1.0 / (1.0 / s1 + 1.0 / s2)
-    f = s * (f1 / s1 + f2 / s2)
-    return min(max(f, 0.0), 1.0), s
+# An upper line that reaches this level on its far quantile bound spans [0, 1].
+_SPANS_UP = 1.0 - TOLERANCE
+_INF = math.inf
 
 
 def combine_bindings(op: str, a: PboxInterval, b: PboxInterval) -> PboxInterval:
@@ -279,79 +275,146 @@ def combine_bindings(op: str, a: PboxInterval, b: PboxInterval) -> PboxInterval:
     shifted line clips to vacuity.  The tightest candidate at the midpoint
     wins, compared on floats; with none the bound degrades to the convex one.
 
-    Two vacuous operands (:func:`pbox.is_vacuous`) offer no candidate that
-    beats the convex bound, so they bind as plain intervals.  Otherwise one
-    pass over each side's candidates, at most three, keeps the tightest, and
-    the two cdf points are built once from the chosen floats.
+    The rule runs as one pass over the operands' twelve floats.  Two vacuous
+    operands (:func:`pbox.is_vacuous`) offer no candidate that beats the
+    convex bound, so they bind as plain intervals before any line is
+    computed.  Otherwise each side visits its candidates in order, ``a``'s
+    copy, ``b``'s copy, then the level-wise line, and keeps the tightest;
+    the two cdf points are built once from the chosen floats, and dominance
+    is repaired only where :func:`pbox.check_dominance` would fail.
     """
-    if op not in ("add", "sub", "mul"):
+    p = a.lo
+    alq, alf, als = p.q, p.f, p.s
+    p = a.hi
+    ahq, ahf, ahs = p.q, p.f, p.s
+    p = b.lo
+    blq, blf, bls = p.q, p.f, p.s
+    p = b.hi
+    bhq, bhf, bhs = p.q, p.f, p.s
+    if op == "add":
+        lo, hi = alq + blq, ahq + bhq
+    elif op == "sub":
+        lo, hi = alq - bhq, ahq - blq
+    elif op == "mul":
+        lo, hi = mul_bounds(alq, ahq, blq, bhq)
+    else:
         raise ValueError(f"op must be 'add', 'sub' or 'mul', got {op!r}")
-    alq, ahq, blq, bhq = a.lo.q, a.hi.q, b.lo.q, b.hi.q
-    if op == "sub":
-        # -b mirrors the quantiles and swaps the ends.
-        blq, bhq = -bhq, -blq
-    add = op != "mul"
-    lo, hi = (alq + blq, ahq + bhq) if add else mul_bounds(alq, ahq, blq, bhq)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    # lo <= hi and neither is nan, so this is the finite test of both.
+    if not (-_INF < lo and hi < _INF):
         raise ValueError(f"interval arithmetic overflowed to [{lo!r}, {hi!r}]")
     if lo == hi:
         return point_mass(lo)
-    if is_vacuous(a) and is_vacuous(b):
+    # pbox.is_vacuous of both operands.
+    if (
+        als == 0.0 and ahs == 0.0 and bls == 0.0 and bhs == 0.0
+        and alf == 1.0 and blf == 1.0
+        and (ahf == 0.0 or ahf == 1.0 and alq == ahq)
+        and (bhf == 0.0 or bhf == 1.0 and blq == bhq)
+    ):
         return convex_interval(lo, hi)
-    alf, als, ahf, ahs = a.lo.f, a.lo.s, a.hi.f, a.hi.s
-    blf, bls, bhf, bhs = b.lo.f, b.lo.s, b.hi.f, b.hi.s
+    a_point, b_point = alq == ahq, blq == bhq
+    a_width, b_width = ahq - alq, bhq - blq
     if op == "sub":
-        # The level f of -b becomes 1 - f.
+        # -b mirrors the levels, 1 - f, and swaps the lines; its width and
+        # whether it is a point do not change.
         blf, bls, bhf, bhs = 1.0 - bhf, bhs, 1.0 - blf, bls
-    # Each side keeps the least (upper) or greatest (lower) key: the clipped
-    # value at the midpoint, then, as ties are frequent once lines clip
-    # there, the anchor level, then the slope; the first of equals stays,
-    # as with min and max over the keys in candidate order.  A subnormal
-    # slope gives a level-wise line a nan level, or a scaled copy an
-    # overflowed slope; dropping that line loses only a vacuous bound.
+    # Each copy's slope on the result, inf where the copy is no candidate: a
+    # copy of a's upper line needs that line to span [0, 1] over a's range
+    # or b to be a point, and so on.  A product scales each slope down by
+    # the other operand's bound on that side; a zero bound offers no copy,
+    # and a subnormal one overflows the slope, which drops the copy.
+    if op != "mul":
+        a_up = als if b_point or alf + als * a_width >= _SPANS_UP else _INF
+        b_up = bls if a_point or blf + bls * b_width >= _SPANS_UP else _INF
+        a_low = ahs if b_point or ahf - ahs * a_width <= TOLERANCE else _INF
+        b_low = bhs if a_point or bhf - bhs * b_width <= TOLERANCE else _INF
+    else:
+        a_up = b_up = a_low = b_low = _INF
+        if alq >= 0.0 and blq >= 0.0:
+            if blq > 0.0 and (b_point or alf + als * a_width >= _SPANS_UP):
+                a_up = als / blq
+            if alq > 0.0 and (a_point or blf + bls * b_width >= _SPANS_UP):
+                b_up = bls / alq
+            if bhq > 0.0 and (b_point or ahf - ahs * a_width <= TOLERANCE):
+                a_low = ahs / bhq
+            if ahq > 0.0 and (a_point or bhf - bhs * b_width <= TOLERANCE):
+                b_low = bhs / ahq
+    # The upper side keeps the least (value at the midpoint clipped to 1,
+    # level, slope), the lower side the greatest (value clipped to 0, level,
+    # -slope): ties are frequent once lines clip at the midpoint.  The first
+    # of equal keys stays.  A value is nan only where lo + hi overflows; a
+    # nan neither replaces a kept line nor is replaced by one, as in a
+    # comparison of key tuples.
     mid = 0.5 * (lo + hi)
     to_mid, from_mid = mid - lo, hi - mid
-    up = low = None
-    if add or (alq >= 0.0 and blq >= 0.0):
-        for lf, ls, hf, hs, width, olq, ohq in (
-            (alf, als, ahf, ahs, ahq - alq, blq, bhq),
-            (blf, bls, bhf, bhs, bhq - blq, alq, ahq),
+    up_f = low_f = -1.0  # no candidate yet
+    if a_up < _INF:
+        up_v, up_f, up_s = alf + a_up * to_mid, alf, a_up
+        if 1.0 < up_v:
+            up_v = 1.0
+    if b_up < _INF:
+        v = blf + b_up * to_mid
+        if 1.0 < v:
+            v = 1.0
+        if up_f < 0.0 or v < up_v or v == up_v and (
+            blf < up_f or blf == up_f and b_up < up_s
         ):
-            lo_scale, hi_scale = (1.0, 1.0) if add else (olq, ohq)
-            if lo_scale > 0.0 and (olq == ohq or lf + ls * width >= 1.0 - TOLERANCE):
-                s = ls / lo_scale
-                if s < math.inf:
-                    key = (min(lf + s * to_mid, 1.0), lf, s)
-                    if up is None or key < up:
-                        up = key
-            if hi_scale > 0.0 and (olq == ohq or hf - hs * width <= TOLERANCE):
-                s = hs / hi_scale
-                if s < math.inf:
-                    key = (max(hf - s * from_mid, 0.0), hf, -s)
-                    if low is None or key > low:
-                        low = key
-    if add and als > 0.0 and bls > 0.0:
-        f, s = _levelwise(alf, als, blf, bls)
-        if f == f:
-            key = (min(f + s * to_mid, 1.0), f, s)
-            if up is None or key < up:
-                up = key
-    if add and ahs > 0.0 and bhs > 0.0:
-        f, s = _levelwise(ahf, ahs, bhf, bhs)
-        if f == f:
-            key = (max(f - s * from_mid, 0.0), f, -s)
-            if low is None or key > low:
-                low = key
+            up_v, up_f, up_s = v, blf, b_up
+    if a_low < _INF:
+        low_v, low_f, low_s = ahf - a_low * from_mid, ahf, a_low
+        if 0.0 > low_v:
+            low_v = 0.0
+    if b_low < _INF:
+        v = bhf - b_low * from_mid
+        if 0.0 > v:
+            v = 0.0
+        if low_f < 0.0 or v > low_v or v == low_v and (
+            bhf > low_f or bhf == low_f and b_low < low_s
+        ):
+            low_v, low_f, low_s = v, bhf, b_low
+    if op != "mul":
+        # The level-wise lines of a sum: quantiles added at equal cdf level,
+        # so the slope is the harmonic combination and the level the
+        # slope-weighted average, clipped into [0, 1].  A subnormal slope
+        # makes s 0 and the level 0 * inf, a nan: that line is dropped.
+        if als > 0.0 and bls > 0.0:
+            s = 1.0 / (1.0 / als + 1.0 / bls)
+            f = s * (alf / als + blf / bls)
+            f = 0.0 if 0.0 > f else 1.0 if 1.0 < f else f
+            if f == f:
+                v = f + s * to_mid
+                if 1.0 < v:
+                    v = 1.0
+                if up_f < 0.0 or v < up_v or v == up_v and (
+                    f < up_f or f == up_f and s < up_s
+                ):
+                    up_f, up_s = f, s
+        if ahs > 0.0 and bhs > 0.0:
+            s = 1.0 / (1.0 / ahs + 1.0 / bhs)
+            f = s * (ahf / ahs + bhf / bhs)
+            f = 0.0 if 0.0 > f else 1.0 if 1.0 < f else f
+            if f == f:
+                v = f - s * from_mid
+                if 0.0 > v:
+                    v = 0.0
+                if low_f < 0.0 or v > low_v or v == low_v and (
+                    f > low_f or f == low_f and s < low_s
+                ):
+                    low_f, low_s = f, s
     # A side without candidates keeps the convex bound's line.
-    _, up_f, up_s = up or (1.0, 1.0, 0.0)
-    _, low_f, neg_low_s = low or (0.0, 0.0, -0.0)
-    low_s = -neg_low_s
+    if up_f < 0.0:
+        up_f, up_s = 1.0, 0.0
+    if low_f < 0.0:
+        low_f, low_s = 0.0, 0.0
     points = PboxInterval(CdfPoint(lo, up_f, up_s), CdfPoint(hi, low_f, low_s))
-    try:
-        return repair_dominance(points)
-    except Inconsistent:
-        return convex_interval(lo, hi)
-
+    # pbox.check_dominance of the points.
+    width = hi - lo
+    if up_f < low_f - low_s * width - TOLERANCE or up_f + up_s * width < low_f - TOLERANCE:
+        try:
+            return repair_dominance(points)
+        except Inconsistent:
+            return convex_interval(lo, hi)
+    return points
 
 # -- model construction -------------------------------------------------------
 

@@ -31,10 +31,14 @@ TOLERANCE = 1e-9
 
 
 def json_number(value, kind=float):
-    """A JSON number read as ``kind``; ints pass as floats, bools and strings never."""
+    """A JSON number read as ``kind``; ints pass as floats, bools and strings
+    never, nor an int too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         raise ValueError(f"expected a number of type {kind.__name__}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"a {value.bit_length()}-bit integer is too large for a float") from None
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -406,10 +410,11 @@ def load_observations_csv(path) -> ObservationSet:
     """Read a ``quantile,count`` CSV into an observation set.
 
     Rows may be unsorted; duplicate quantiles are merged.  Errors carry the
-    offending line number.
+    offending line number.  A UTF-8 byte-order mark, as spreadsheet programs
+    write, is skipped.
     """
     pairs: list[tuple[float, int]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

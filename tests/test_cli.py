@@ -96,6 +96,17 @@ class TestIngest:
         assert payload["lo"]["q"] == 1.0
         assert payload["hi"]["q"] == 3.0
 
+    def test_byte_order_mark_is_skipped(self, obs_csv, tmp_path):
+        # Spreadsheet programs save "CSV UTF-8" with a byte-order mark.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + OBS_CSV.encode())
+        outs = []
+        for source in (obs_csv, path):
+            out = tmp_path / f"{source.stem}.json"
+            assert main(["ingest", "--input", str(source), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_malformed_csv_line_numbered(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("quantile,count\n1.0,2\nnope,3\n")
@@ -284,6 +295,10 @@ class TestSolve:
                 },
                 "variable 'x': expected a number of type float, got '0'",
             ),
+            (
+                {"vars": [{"name": "x", "range": [0, 10**400]}]},
+                "variable 'x': a 1329-bit integer is too large for a float",
+            ),
         ],
         ids=[
             "args-not-a-list",
@@ -294,6 +309,7 @@ class TestSolve:
             "bool-value",
             "string-range-bound",
             "string-quantile",
+            "huge-int-range-bound",
         ],
     )
     def test_malformed_model_exits_two(self, tmp_path, capsys, model, message):
@@ -319,6 +335,14 @@ class TestSolve:
         model_path = tmp_path / "model.json"
         model_path.write_text("{not json")
         assert main(["solve", "--input", str(model_path)]) == 2
+
+    def test_int_past_the_digit_limit_exits_two(self, tmp_path, capsys):
+        # Python's int parser refuses more than 4 300 digits with a plain
+        # ValueError, not a JSONDecodeError.
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"vars": [{"name": "x", "value": 1' + "0" * 5000 + "}]}")
+        assert main(["solve", "--input", str(model_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed model JSON: ")
 
 
 class TestBench:
@@ -476,6 +500,10 @@ class TestBench:
                 {"horizon": 2, "demands": [5, 6], "unit_cost": -math.inf},
                 "unit_cost must be finite, got -inf",
             ),
+            (
+                {"horizon": 2, "seed": 1, "x_max": 10**400},
+                "x_max: a 1329-bit integer is too large for a float",
+            ),
         ],
         ids=[
             "null-x-min",
@@ -495,6 +523,7 @@ class TestBench:
             "nan-ordering-cost",
             "infinite-holding-cost",
             "negative-infinite-unit-cost",
+            "huge-int-x-max",
         ],
     )
     def test_malformed_instance_file_exits_two(self, tmp_path, capsys, obj, message):

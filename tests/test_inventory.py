@@ -418,6 +418,9 @@ class TestCombineBindings:
         assert check_dominance(out)
         assert out == convex_interval(5e-324, 1.5e-323)
         assert _bits(out) == _bits(_three_branch_combine_bindings("mul", a, b))
+        # In the other order the dropped copies are each side's first
+        # candidates, and the lower side is left with none.
+        assert _bits(combine_bindings("mul", b, a)) == _bits(out)
 
     def test_nan_levelwise_level_is_dropped(self):
         # A slope of 5e-324 makes the level-wise slope 0 and its level
@@ -444,6 +447,71 @@ class TestCombineBindings:
         # A larger sweep runs in CI: combine_sweep(1, 50_000).
         seen = combine_sweep(19, 4500)
         assert seen["binding"] > 2250 and seen["ValueError"] > 110
+
+
+def _kernel_binding(op, a, b):
+    """``combine_bindings(op, a, b)``, asserted bit for bit equal to the
+    three-branch reference."""
+    out = combine_bindings(op, a, b)
+    assert _bits(out) == _bits(_three_branch_combine_bindings(op, a, b)), (op, a, b)
+    return out
+
+
+class TestBindingKernel:
+    """Edge cases of the one-pass float kernel of ``combine_bindings``."""
+
+    def test_a_points_flat_line_wins_a_level_one_tie(self):
+        # a's upper line starts at level 1 with a slope; the point's flat
+        # line at level 1 ties it on the clipped value and the level, and
+        # wins on the lesser slope.
+        a = PboxInterval(CdfPoint(2.0, 1.0, 0.25), CdfPoint(6.0, 0.5, 0.125))
+        out = _kernel_binding("add", a, point_mass(3.0))
+        assert out.lo == CdfPoint(5.0, 1.0, 0.0)
+        assert out.hi == CdfPoint(9.0, 0.5, 0.125)
+
+    def test_subtracting_a_point_mass_shifts(self):
+        # -b mirrors the point's levels to 0: its flat upper line at level 0
+        # is no candidate, since a is not a point, and a's lines bind.
+        a = PboxInterval(CdfPoint(2.0, 0.25, 0.25), CdfPoint(6.0, 0.5, 0.125))
+        out = _kernel_binding("sub", a, point_mass(3.0))
+        assert out == PboxInterval(CdfPoint(-1.0, 0.25, 0.25), CdfPoint(3.0, 0.5, 0.125))
+
+    def test_a_zero_lower_bound_offers_no_scaled_copy(self):
+        # b's lower bound is 0, so a's upper line has no scaled copy; b's,
+        # scaled by a's lower bound 2, binds.
+        a = PboxInterval(CdfPoint(2.0, 0.25, 0.25), CdfPoint(6.0, 0.5, 0.125))
+        b = PboxInterval(CdfPoint(0.0, 0.0, 0.5), CdfPoint(2.0, 1.0, 0.5))
+        out = _kernel_binding("mul", a, b)
+        assert out.lo == CdfPoint(0.0, 0.0, 0.25)
+
+    def test_overflowed_midpoint_keeps_the_first_line(self):
+        # lo and hi are finite but lo + hi is not, so the midpoint is inf: a's
+        # flat upper line has the value 1 + 0 * inf, a nan, and b's sloped
+        # line the value 1.  As with key tuples, the nan is neither replaced
+        # nor replaces: a's line, the first, stays.
+        a = PboxInterval(CdfPoint(0.9e308, 1.0, 0.0), CdfPoint(1.0e308, 0.5, 0.0))
+        b = PboxInterval(CdfPoint(0.5e308, 0.2, 8e-307), CdfPoint(0.6e308, 0.8, 8e-307))
+        assert math.isinf(a.lo.q + b.lo.q + a.hi.q + b.hi.q)
+        out = _kernel_binding("add", a, b)
+        assert out.lo == CdfPoint(1.4e308, 1.0, 0.0)
+        reversed_out = _kernel_binding("add", b, a)
+        assert reversed_out.lo == CdfPoint(1.4e308, 0.2, 8e-307)
+
+    @pytest.mark.parametrize("horizon", [24, 96])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_binding_of_a_search(self, monkeypatch, horizon, mode):
+        # Each near-tie's pinned bindings and the winner's relaxed ones.
+        calls = []
+
+        def record(op, a, b):
+            calls.append((op, a, b))
+            return combine_bindings(op, a, b)
+
+        monkeypatch.setattr(inventory, "combine_bindings", record)
+        search(default_instance(horizon, 42), mode)
+        assert {op for op, _, _ in calls} == {"add", "sub", "mul"}
+        for op, a, b in calls:
+            _kernel_binding(op, a, b)
 
 
 def _vacuous_term(rng):
@@ -1405,6 +1473,16 @@ class TestInstanceIO:
         inst = InventoryInstance.from_file(path)
         assert isinstance(inst.unit_cost, ObservationSet)
         assert inst.unit_cost.m == 40
+
+    def test_cost_from_csv_with_a_byte_order_mark(self, tmp_path):
+        csv_path = tmp_path / "obs.csv"
+        csv_path.write_bytes(b"\xef\xbb\xbfquantile,count\n5.17,4\n6.36,36\n")
+        path = tmp_path / "instance.json"
+        path.write_text(
+            json.dumps({"horizon": 1, "unit_cost": {"csv": "obs.csv"}, "demands": [5.0]})
+        )
+        inst = InventoryInstance.from_file(path)
+        assert inst.unit_cost == ObservationSet(((5.17, 4), (6.36, 36)))
 
     def test_toml_instance(self, tmp_path):
         path = tmp_path / "instance.toml"

@@ -18,6 +18,7 @@ from pboxcdf.pbox import (
     empirical_cdf,
     envelope,
     is_vacuous,
+    json_number,
     lower_at,
     meet,
     point_mass,
@@ -305,6 +306,16 @@ class TestDominanceAgainstScan:
             assert moved.s == s
             assert math.copysign(1.0, moved.f) == math.copysign(1.0, expected)
             assert moved.f == expected
+
+
+def test_json_int_too_large_for_a_float_raises_value_error():
+    # float() of such an int raises OverflowError; the callers catch ValueError.
+    assert json_number(2**1023) == 2.0**1023
+    with pytest.raises(ValueError, match="a 1025-bit integer is too large for a float"):
+        json_number(2**1024)
+    with pytest.raises(ValueError, match="too large for a float"):
+        json_number(-(10**400))
+    assert json_number(10**400, int) == 10**400
 
 
 def test_vacuous_means_no_cdf_knowledge():
